@@ -36,8 +36,8 @@ pub struct Options {
     pub trace_out: Option<String>,
     /// Write aggregated sweep metrics as JSON to this path.
     pub metrics_out: Option<String>,
-    /// Output path override (`profile` writes `BENCH_profile.json` by
-    /// default).
+    /// Profile artifact path (`profile` writes it, `check-bench`
+    /// validates it; default `BENCH_profile.json`).
     pub out: Option<String>,
     /// Print a periodic progress line to stderr during sweeps.
     pub progress: bool,

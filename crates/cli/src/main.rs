@@ -29,7 +29,8 @@
 //!   --sample-every <K>   time every K-th slot      [default: 16]
 //!
 //! check-bench validates BENCH_profile.json / BENCH_core.json against the
-//! schemas under schemas/. With --baseline PATH it instead gates
+//! schemas under schemas/ (`--out PATH` names the profile artifact,
+//! `--current PATH` the core one). With --baseline PATH it instead gates
 //! slots/sec against that baseline artifact:
 //!   --baseline <PATH>    reference BENCH_core.json to compare against
 //!   --current <PATH>     artifact under test       [default: BENCH_core.json]

@@ -68,8 +68,10 @@ pub fn profile(opts: &Options) -> Result<(), SimError> {
 }
 
 /// `fifoms-repro check-bench`: validate whichever benchmark artifacts
-/// exist in the working directory against their checked-in schemas.
-/// Fails if an artifact is malformed — or if none exist at all.
+/// exist against their checked-in schemas — the profile artifact at
+/// `--out` (default `BENCH_profile.json`) and the core-bench artifact at
+/// `--current` (default `BENCH_core.json`). Fails if an artifact is
+/// malformed — or if none exist at all.
 ///
 /// With `--baseline PATH` it instead runs the throughput regression
 /// gate: the current core-bench artifact (`--current`, default
@@ -86,8 +88,9 @@ pub fn check_bench(opts: &Options) -> Result<(), SimError> {
         return Ok(());
     }
     let core_path = opts.current.as_deref().unwrap_or("BENCH_core.json");
+    let profile_path = opts.out.as_deref().unwrap_or("BENCH_profile.json");
     let pairs = [
-        ("BENCH_profile.json", "schemas/bench_profile.schema.json"),
+        (profile_path, "schemas/bench_profile.schema.json"),
         (core_path, "schemas/bench_core.schema.json"),
     ];
     let mut checked = 0;

@@ -50,6 +50,8 @@ pub struct DataCell {
 /// purposes: identifying sibling address cells of one multicast packet
 /// (all share the stamp) and acting as the FIFO scheduling weight.
 /// Which output the cell addresses is implied by the VOQ holding it.
+/// The switch keeps the cells implicitly, as each live packet's remaining
+/// destinations; [`VoqSet::cells`](crate::VoqSet::cells) derives them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AddressCell {
     /// Arrival slot of the owning packet — the FIFOMS scheduling weight.

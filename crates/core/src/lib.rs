@@ -19,13 +19,24 @@
 //! This brings the queue count per input back to `N` ([`VoqSet`]) while
 //! storing each payload exactly once.
 //!
+//! Every address cell of a packet carries the packet's stamp and an input
+//! admits at most one packet per slot, so each VOQ is stamp-ordered and
+//! its head is the oldest live packet still destined to its output.
+//! [`VoqSet`] therefore stores each input's live packets in age order,
+//! each with its remaining destinations as a
+//! [`PortSet`](fifoms_types::PortSet); a VOQ's address cells are derived
+//! from that list ([`VoqSet::cells`]) and per output only the queue length
+//! is counted.
+//!
 //! # The scheduler (paper §III)
 //!
 //! [`FifomsScheduler`] implements the iterative request/grant algorithm of
 //! Table 2: free inputs request with their smallest-time-stamp HOL address
 //! cells (all of which necessarily belong to one packet), free outputs
 //! grant the smallest time stamp (random tie-break), and iteration
-//! continues until no new pair matches. There is no *accept* step — all of
+//! continues until no new pair matches. Over the age-ordered list a
+//! request is one set intersection: the remaining destinations of the
+//! input's oldest packet that still has a free output. There is no *accept* step — all of
 //! an input's simultaneous grants reference the same data cell, which the
 //! crossbar multicasts in one slot.
 //!

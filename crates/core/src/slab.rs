@@ -146,11 +146,22 @@ impl DataCellSlab {
     ///
     /// Panics on a stale key or a cell whose counter is already zero.
     pub fn serve_destination(&mut self, key: DataCellKey) -> bool {
+        self.serve_destinations(key, 1)
+    }
+
+    /// Serve `copies` destinations of the cell at once (one multicast
+    /// transmission): the fanout counter drops by `copies`, and the cell
+    /// is destroyed and `true` returned when it reaches zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stale key or when `copies` exceeds the counter.
+    pub fn serve_destinations(&mut self, key: DataCellKey, copies: u32) -> bool {
         let idx = self.check_key(key);
         let done = match &mut self.entries[idx] {
             SlabEntry::Live(cell) => {
-                assert!(cell.fanout_counter > 0, "fanout counter underflow");
-                cell.fanout_counter -= 1;
+                assert!(cell.fanout_counter >= copies, "fanout counter underflow");
+                cell.fanout_counter -= copies;
                 cell.fanout_counter == 0
             }
             // fifoms-lint: allow(R3) INVARIANT: documented # Panics contract — serving a freed cell would corrupt fanout accounting
@@ -289,24 +300,6 @@ impl DataCellSlab {
         self.live = live;
         Ok(())
     }
-
-    /// Iterate over live cells (diagnostics and invariant checks).
-    pub fn iter_live(&self) -> impl Iterator<Item = (DataCellKey, &DataCell)> + '_ {
-        self.entries
-            .iter()
-            .zip(self.generations.iter())
-            .enumerate()
-            .filter_map(move |(i, (e, generation))| match e {
-                SlabEntry::Live(cell) => Some((
-                    DataCellKey {
-                        index: i as u32,
-                        generation: *generation,
-                    },
-                    cell,
-                )),
-                SlabEntry::Free(_) => None,
-            })
-    }
 }
 
 #[cfg(test)]
@@ -341,6 +334,16 @@ mod tests {
         assert_eq!(slab.get(k).fanout_counter, 1);
         assert!(slab.serve_destination(k)); // last copy
         assert_eq!(slab.live(), 0);
+        assert!(slab.is_empty());
+    }
+
+    #[test]
+    fn serve_destinations_counts_a_multicast_once() {
+        let mut slab = DataCellSlab::new();
+        let k = slab.alloc(PacketId(1), Slot(0), 5);
+        assert!(!slab.serve_destinations(k, 3));
+        assert_eq!(slab.get(k).fanout_counter, 2);
+        assert!(slab.serve_destinations(k, 2));
         assert!(slab.is_empty());
     }
 
@@ -408,16 +411,6 @@ mod tests {
         assert_eq!(k4.index, k1.index);
         assert_eq!(slab.capacity(), 2, "no growth when reusing");
         assert_eq!(slab.live(), 2);
-    }
-
-    #[test]
-    fn iter_live_skips_freed() {
-        let mut slab = DataCellSlab::new();
-        let k1 = slab.alloc(PacketId(1), Slot(0), 1);
-        let _k2 = slab.alloc(PacketId(2), Slot(0), 2);
-        slab.serve_destination(k1);
-        let live: Vec<_> = slab.iter_live().map(|(_, c)| c.packet).collect();
-        assert_eq!(live, vec![PacketId(2)]);
     }
 
     proptest! {

@@ -215,10 +215,14 @@ impl<S: Switch> CheckedSwitch<S> {
     /// `admission_dropped_copies`; a packet whose copies all resolve by
     /// admission drop completes without ever occupying a buffer.
     fn absorb_admission_drops(&mut self) {
-        let mut drained = Vec::new();
-        self.inner.drain_admission_drops(&mut drained);
-        for drop in &drained {
-            let d = *drop;
+        // Drain straight into the ledger, whose capacity survives the
+        // caller's drain, so steady-state absorption never allocates.
+        let start = self.admission_drops.len();
+        self.inner.drain_admission_drops(&mut self.admission_drops);
+        for k in start..self.admission_drops.len() {
+            let Some(&d) = self.admission_drops.get(k) else {
+                break;
+            };
             match self.in_flight.get_mut(&d.packet) {
                 None => self.record(InvariantViolation::GrantOutsideFanout {
                     slot: d.slot,
@@ -252,7 +256,6 @@ impl<S: Switch> CheckedSwitch<S> {
                 }
             }
         }
-        self.admission_drops.extend(drained);
     }
 
     fn check_outcome(&mut self, now: Slot, outcome: &SlotOutcome) {

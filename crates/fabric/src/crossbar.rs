@@ -1,7 +1,5 @@
 //! The crossbar fabric: applies schedules and keeps usage accounting.
 
-use fifoms_types::PortId;
-
 use crate::CrossbarSchedule;
 
 /// Cumulative fabric usage statistics.
@@ -46,6 +44,9 @@ impl FabricStats {
 pub struct Crossbar {
     n: usize,
     stats: FabricStats,
+    // Scratch: outputs driven by each input in the slot being applied,
+    // reused across slots.
+    fanout: Vec<u32>,
 }
 
 impl Crossbar {
@@ -59,6 +60,7 @@ impl Crossbar {
         Crossbar {
             n,
             stats: FabricStats::default(),
+            fanout: vec![0; n],
         }
     }
 
@@ -89,14 +91,21 @@ impl Crossbar {
         if conns == 0 {
             self.stats.idle_slots += 1;
         }
-        // Count connections belonging to inputs that drive >1 output.
-        let mut mc_conns = 0u64;
-        for i in 0..self.n {
-            let outs = schedule.outputs_of(PortId::new(i)).len() as u64;
-            if outs > 1 {
-                mc_conns += outs;
+        // Count connections belonging to inputs that drive >1 output, in
+        // one pass over the connections.
+        self.fanout.clear();
+        self.fanout.resize(self.n, 0);
+        for (input, _) in schedule.pairs() {
+            if let Some(count) = self.fanout.get_mut(input.index()) {
+                *count += 1;
             }
         }
+        let mc_conns: u64 = self
+            .fanout
+            .iter()
+            .filter(|&&outs| outs > 1)
+            .map(|&outs| u64::from(outs))
+            .sum();
         if mc_conns > 0 {
             self.stats.multicast_slots += 1;
             self.stats.multicast_connections += mc_conns;
@@ -123,7 +132,8 @@ impl Crossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fifoms_types::PortSet;
+    use fifoms_types::{PortId, PortSet};
+    use proptest::prelude::*;
 
     #[test]
     #[should_panic(expected = "at least one port")]
@@ -180,5 +190,41 @@ mod tests {
         let xb = Crossbar::new(4);
         assert_eq!(xb.stats().mean_connections(), 0.0);
         assert_eq!(xb.stats().utilisation(4), 0.0);
+    }
+
+    proptest! {
+        /// The one-pass fanout count gives the same statistics as the
+        /// per-input `outputs_of` formula on random schedules.
+        #[test]
+        fn prop_apply_matches_outputs_of_formula(
+            slots in proptest::collection::vec(proptest::collection::vec(0usize..9, 8), 1..20),
+        ) {
+            let n = 8;
+            let mut xb = Crossbar::new(n);
+            let mut expected = FabricStats::default();
+            for inputs in slots {
+                // Input value n means the output stays idle this slot.
+                let mut s = CrossbarSchedule::empty(n);
+                for (o, &i) in inputs.iter().enumerate() {
+                    if i < n {
+                        s.try_connect(PortId::new(i), PortId::new(o)).unwrap();
+                    }
+                }
+                expected.slots += 1;
+                let conns = s.connections() as u64;
+                expected.crosspoints_set += conns;
+                expected.idle_slots += u64::from(conns == 0);
+                let mc: u64 = (0..n)
+                    .map(|i| s.outputs_of(PortId::new(i)).len() as u64)
+                    .filter(|&outs| outs > 1)
+                    .sum();
+                if mc > 0 {
+                    expected.multicast_slots += 1;
+                    expected.multicast_connections += mc;
+                }
+                xb.apply(&s);
+                prop_assert_eq!(xb.stats(), expected);
+            }
+        }
     }
 }

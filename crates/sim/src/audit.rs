@@ -8,6 +8,11 @@
 //! [`Switch::recycle`] — while reading a caller-supplied monotonic
 //! allocation counter around each phase.
 //!
+//! A finite-buffer switch keeps a ledger of admission drops that its
+//! owner must drain — a real run's `CheckedSwitch` does so every slot —
+//! so the audit drains it every slot too, into a buffer reserved up
+//! front. Unbounded switches never drop, so for them the drain is idle.
+//!
 //! The counter is abstract (`&dyn Fn() -> u64`) so this crate stays free
 //! of `unsafe`: the real counting [`GlobalAlloc`](std::alloc::GlobalAlloc)
 //! lives in the binaries that opt in (`fifoms-repro` behind the
@@ -19,7 +24,7 @@
 use fifoms_fabric::Switch;
 use fifoms_obs::Json;
 use fifoms_traffic::TrafficModel;
-use fifoms_types::{Packet, PacketId, PortId, SimError, Slot};
+use fifoms_types::{AdmissionDrop, Packet, PacketId, PortId, SimError, Slot};
 
 /// Per-phase allocation tallies over the measured window of one audit run.
 #[derive(Clone, Debug)]
@@ -112,6 +117,8 @@ pub fn alloc_audit(
     switch.reserve_steady_state(AUDIT_RESERVE_PER_VOQ);
     let mut arrivals: Vec<Option<_>> = Vec::with_capacity(n);
     let mut queue_buf: Vec<usize> = Vec::with_capacity(n);
+    // Per slot at most every arriving copy is shed or pushes one out.
+    let mut drop_buf: Vec<AdmissionDrop> = Vec::with_capacity(2 * n * n);
     let mut next_packet = 0u64;
     let mut copies_delivered = 0u64;
     // Mirrors the engine's post-warmup stats reads so the audited loop has
@@ -162,6 +169,9 @@ pub fn alloc_audit(
             stats_checksum = stats_checksum.wrapping_add(*q as u64);
         }
         stats_checksum = stats_checksum.wrapping_add(switch.backlog().copies as u64);
+        switch.drain_admission_drops(&mut drop_buf);
+        stats_checksum = stats_checksum.wrapping_add(drop_buf.len() as u64);
+        drop_buf.clear();
         switch.recycle(outcome);
         lap(measured, 3, before, counter);
     }

@@ -15,7 +15,8 @@
 #      (lintcmd self-checks it against schemas/lint.schema.json);
 #   5. a smoke run of the self-profiling harness plus schema validation
 #      of the benchmark artifacts it writes (schemas/ must stay in sync
-#      with the emitters);
+#      with the emitters); the artifact goes to a temporary directory so
+#      CI leaves the committed BENCH_profile.json untouched;
 #   6. the bench regression gate: a smoke core bench compared against the
 #      committed BENCH_core.json baseline (wide tolerance — smoke runs
 #      are short and noisy; the gate exists to catch order-of-magnitude
@@ -83,14 +84,18 @@ test -s "$tmp/lint.json"
 grep -q '"schema":"fifoms-lint-stats-v1"' "$tmp/lint_ledger.jsonl"
 
 echo "== profile smoke + artifact schema validation =="
-cargo run --release --quiet -p fifoms-cli -- profile --slots 10000
-cargo run --release --quiet -p fifoms-cli -- check-bench
-grep -q '"schema": *"fifoms-bench-profile-v2"' BENCH_profile.json
-grep -q '"path": *"schedule/' BENCH_profile.json
+# The smoke artifact goes to $tmp: CI never rewrites the committed
+# BENCH_profile.json.
+cargo run --release --quiet -p fifoms-cli -- profile --slots 10000 \
+  --out "$tmp/BENCH_profile.json"
+cargo run --release --quiet -p fifoms-cli -- check-bench \
+  --out "$tmp/BENCH_profile.json"
+grep -q '"schema": *"fifoms-bench-profile-v2"' "$tmp/BENCH_profile.json"
+grep -q '"path": *"schedule/' "$tmp/BENCH_profile.json"
 
 echo "== perf-diff self-check (artifact diffed against itself) =="
 cargo run --release --quiet -p fifoms-cli -- perf-diff \
-  BENCH_profile.json BENCH_profile.json
+  "$tmp/BENCH_profile.json" "$tmp/BENCH_profile.json"
 
 echo "== alloc audit (counting allocator, FIFOMS + iSLIP must be clean) =="
 cargo run --release --quiet -p fifoms-cli --features alloc-audit -- \

@@ -5,13 +5,13 @@
 //! crates stay `forbid(unsafe_code)` and the workspace's other tests run
 //! on the plain system allocator. The audit harness itself is
 //! [`fifoms_sim::alloc_audit`]; this file supplies the counter it needs
-//! and asserts the PR's headline claim: after warmup, the engine's slot
-//! loop (`traffic → admit → run_slot → stats`) performs **zero** heap
-//! allocations for both FIFOMS and iSLIP.
+//! and asserts that after warmup the engine's slot loop (`traffic → admit
+//! → run_slot → stats`) performs **zero** heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use fifoms::core::{AdmissionPolicy, BufferConfig};
 use fifoms::prelude::*;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -48,17 +48,43 @@ fn alloc_events() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// FIFOMS and iSLIP run sequentially in one test: a second thread would
-/// share the process-wide counter, so parallel test execution could
+/// Every case runs sequentially in one test: a second thread would share
+/// the process-wide counter, so parallel test execution could
 /// cross-attribute allocations.
+///
+/// The cases cover both schedulers at N=8, FIFOMS at N=64 and load 0.9
+/// (where ~2.3 request/grant rounds run per slot), and FIFOMS at N=32
+/// overloaded to 1.2 behind pushout buffers (VOQ cap 16, input cap 64),
+/// where every slot sheds and evicts copies. iSLIP still allocates now
+/// and then at N=64, so it is audited at N=8 only.
 #[test]
 fn steady_state_slot_loop_is_allocation_free() {
-    const N: usize = 8;
-    for (label, kind) in [("FIFOMS", SwitchKind::Fifoms), ("iSLIP", SwitchKind::Islip(None))] {
-        let mut sw = kind.build(N, 1);
-        let mut tr = TrafficKind::bernoulli_at_load(0.6, 0.25, N).build(N, 2);
-        let report =
-            alloc_audit(sw.as_mut(), tr.as_mut(), 3_000, 3_000, &alloc_events).unwrap();
+    let pushout = BufferConfig::bounded(16, 64).with_policy(AdmissionPolicy::Pushout);
+    let cases: [(&str, Box<dyn Switch>, TrafficKind); 4] = [
+        (
+            "FIFOMS n=8",
+            SwitchKind::Fifoms.build(8, 1),
+            TrafficKind::bernoulli_at_load(0.6, 0.25, 8),
+        ),
+        (
+            "iSLIP n=8",
+            SwitchKind::Islip(None).build(8, 1),
+            TrafficKind::bernoulli_at_load(0.6, 0.25, 8),
+        ),
+        (
+            "FIFOMS n=64",
+            SwitchKind::Fifoms.build(64, 1),
+            TrafficKind::bernoulli_at_load(0.9, 0.2, 64),
+        ),
+        (
+            "FIFOMS n=32 pushout",
+            Box::new(MulticastVoqSwitch::new(32, 1).with_buffers(pushout)),
+            TrafficKind::bernoulli_at_load(1.2, 0.25, 32),
+        ),
+    ];
+    for (label, mut sw, traffic) in cases {
+        let mut tr = traffic.build(sw.ports(), 2);
+        let report = alloc_audit(sw.as_mut(), tr.as_mut(), 3_000, 3_000, &alloc_events).unwrap();
         assert!(
             report.packets_admitted > 0 && report.copies_delivered > 0,
             "{label}: audit must exercise real load"
