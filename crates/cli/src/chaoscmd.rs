@@ -16,7 +16,7 @@
 use fifoms_sim::{
     buffer_pressure_scenarios, campaign_scenarios, run_corruption_campaign, run_guarded,
     run_scenario, run_scenario_observed, shrink_scenario_guarded, ChaosOutcome, ChaosScenario,
-    CheckpointFault, CorruptionOutcome,
+    CheckpointFault, CorruptionOutcome, GuardFailure,
 };
 use fifoms_types::SimError;
 
@@ -77,8 +77,8 @@ pub fn chaos(opts: &Options) -> Result<(), SimError> {
                 print_row(k, &out);
                 outcomes.push(out);
             }
-            Err(ms) => {
-                print_timeout_row(k, sc, ms);
+            Err(failure) => {
+                print_timeout_row(k, sc, &failure);
                 timeouts.push(*sc);
             }
         }
@@ -180,13 +180,16 @@ fn print_row(k: usize, out: &ChaosOutcome) {
     );
 }
 
-fn print_timeout_row(k: usize, sc: &ChaosScenario, limit_millis: u64) {
+fn print_timeout_row(k: usize, sc: &ChaosScenario, failure: &GuardFailure) {
     let spec = sc.cli_spec();
+    let why = match failure {
+        GuardFailure::Timeout { millis } => format!("watchdog fired after {millis}ms"),
+        GuardFailure::Spawn(e) => format!("cell thread failed to spawn: {e}"),
+    };
     println!(
-        "{:>3}  {:<12}  watchdog fired after {}ms — cell abandoned  {}",
+        "{:>3}  {:<12}  {why} — cell abandoned  {}",
         k,
         "TIMEOUT",
-        limit_millis,
         if spec.is_empty() { "(defaults)" } else { &spec },
     );
 }

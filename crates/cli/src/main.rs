@@ -108,9 +108,9 @@
 //!
 //! lint runs the fifoms-lint source disciplines (R1 determinism, R2
 //! timestamp preservation, R3 panic freedom, R4 event vocabulary, R5
-//! SAFETY/INVARIANT audit, R6 fingerprint floats, R7 wrapper forwarding,
-//! R8 checkpoint coverage, R9 schema drift, R10 guarded indexing) over
-//! the workspace and exits nonzero on any finding beyond the baseline:
+//! SAFETY/INVARIANT audit, R6 fingerprint floats, R8 checkpoint
+//! coverage, R9 schema drift, R10 guarded indexing) over the workspace
+//! and exits nonzero on any finding beyond the baseline:
 //!   --baseline <PATH>    grandfathered-findings allowlist to gate against
 //!   --json <PATH>        write the fifoms-lint-v1 report (schema-checked)
 //!   --write-baseline     regenerate the baseline (and the R8 state

@@ -36,11 +36,11 @@ use std::collections::HashMap;
 use fifoms_types::{
     get_admission_drop, get_dropped_copy, get_violation, put_admission_drop, put_dropped_copy,
     put_violation, AdmissionDrop, Checkpoint, Departure, DroppedCopy, InvariantViolation, ObsEvent,
-    Packet, PacketId, PortId, PortSet, RetryDisposition, Slot, SlotOutcome, SpanSample, StateError,
+    Packet, PacketId, PortId, PortSet, RetryDisposition, Slot, SlotOutcome, StateError,
     StateReader, StateWriter,
 };
 
-use crate::switch::{frame_stack, unframe_stack, Backlog, Switch};
+use crate::switch::Switch;
 
 /// Residual state of one in-flight packet.
 #[derive(Clone, Debug)]
@@ -350,13 +350,15 @@ impl<S: Switch> CheckedSwitch<S> {
     }
 }
 
-impl<S: Switch> Switch for CheckedSwitch<S> {
-    fn name(&self) -> String {
-        self.inner.name()
+impl<S: Switch> crate::Layer for CheckedSwitch<S> {
+    type Inner = S;
+
+    fn inner(&self) -> &S {
+        &self.inner
     }
 
-    fn ports(&self) -> usize {
-        self.inner.ports()
+    fn inner_mut(&mut self) -> &mut S {
+        &mut self.inner
     }
 
     fn admit(&mut self, packet: Packet) {
@@ -386,14 +388,6 @@ impl<S: Switch> Switch for CheckedSwitch<S> {
         outcome
     }
 
-    fn queue_sizes(&self, out: &mut Vec<usize>) {
-        self.inner.queue_sizes(out)
-    }
-
-    fn backlog(&self) -> Backlog {
-        self.inner.backlog()
-    }
-
     fn drain_events(&mut self, out: &mut Vec<ObsEvent>) {
         if let (false, Some(v)) = (self.violation_reported, &self.violation) {
             out.push(ObsEvent::InvariantViolated {
@@ -403,10 +397,6 @@ impl<S: Switch> Switch for CheckedSwitch<S> {
             self.violation_reported = true;
         }
         self.inner.drain_events(out);
-    }
-
-    fn end_of_run(&mut self) {
-        self.inner.end_of_run();
     }
 
     fn copy_failed(&mut self, d: &Departure, now: Slot, requeue: bool) -> RetryDisposition {
@@ -452,41 +442,12 @@ impl<S: Switch> Switch for CheckedSwitch<S> {
         out.append(&mut self.admission_drops);
     }
 
-    fn backpressure(&self, input: PortId) -> bool {
-        self.inner.backpressure(input)
-    }
-
-    fn set_span_recording(&mut self, on: bool) {
-        self.inner.set_span_recording(on)
-    }
-
-    fn drain_spans(&mut self, out: &mut Vec<SpanSample>) {
-        self.inner.drain_spans(out)
-    }
-
-    fn recycle(&mut self, outcome: SlotOutcome) {
-        self.inner.recycle(outcome)
-    }
-    fn quarantined_paths(&self, now: Slot, out: &mut Vec<(PortId, PortId)>) {
-        self.inner.quarantined_paths(now, out)
-    }
-    fn reserve_steady_state(&mut self, copies_per_voq: usize) {
-        self.inner.reserve_steady_state(copies_per_voq)
-    }
-
     fn save_state(&self) -> Result<Vec<u8>, StateError> {
-        let inner = self.inner.save_state()?;
-        Ok(frame_stack(
-            "checked-switch-stack",
-            &Checkpoint::snapshot_state(self),
-            &inner,
-        ))
+        crate::switch::save_layer_state(self, "checked-switch-stack")
     }
 
     fn load_state(&mut self, blob: &[u8]) -> Result<(), StateError> {
-        let (own, inner) = unframe_stack(blob, "checked-switch-stack")?;
-        Checkpoint::restore_state(self, own)?;
-        self.inner.load_state(inner)
+        crate::switch::load_layer_state(self, "checked-switch-stack", blob)
     }
 }
 
@@ -496,7 +457,7 @@ impl<S: Switch> Checkpoint for CheckedSwitch<S> {
     }
 
     // Own state only (the wrapped switch's blob travels alongside via
-    // `frame_stack`): the residual-fanout ledger, the copy counters, the
+    // `save_layer_state`): the residual-fanout ledger, the copy counters, the
     // undrained drop buffers, and the sticky violation. `check_every` and
     // `capacity` are configuration.
     fn write_state(&self, w: &mut StateWriter) {
@@ -574,6 +535,7 @@ impl<S: Switch> Checkpoint for CheckedSwitch<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Backlog;
     use fifoms_types::Departure;
     use std::collections::VecDeque;
 

@@ -40,12 +40,12 @@
 use std::collections::HashMap;
 
 use fifoms_types::{
-    get_dropped_copy, get_obs_event, put_dropped_copy, put_obs_event, AdmissionDrop, Checkpoint,
-    Departure, DroppedCopy, ObsEvent, Packet, PacketId, PortId, RetryDisposition, Slot,
-    SlotOutcome, SpanSample, StateError, StateReader, StateWriter,
+    get_dropped_copy, get_obs_event, put_dropped_copy, put_obs_event, Checkpoint, DroppedCopy,
+    ObsEvent, Packet, PacketId, PortId, RetryDisposition, Slot, SlotOutcome, StateError,
+    StateReader, StateWriter,
 };
 
-use crate::switch::{frame_stack, unframe_stack, Backlog, Switch};
+use crate::switch::Switch;
 
 /// SplitMix64: cheap stateless hash used to derive per-entity phases from
 /// the seed without dragging in an RNG dependency.
@@ -391,13 +391,15 @@ impl<S: Switch> FaultyFabric<S> {
     }
 }
 
-impl<S: Switch> Switch for FaultyFabric<S> {
-    fn name(&self) -> String {
-        self.inner.name()
+impl<S: Switch> crate::Layer for FaultyFabric<S> {
+    type Inner = S;
+
+    fn inner(&self) -> &S {
+        &self.inner
     }
 
-    fn ports(&self) -> usize {
-        self.inner.ports()
+    fn inner_mut(&mut self) -> &mut S {
+        &mut self.inner
     }
 
     fn admit(&mut self, mut packet: Packet) {
@@ -449,25 +451,9 @@ impl<S: Switch> Switch for FaultyFabric<S> {
         outcome
     }
 
-    fn queue_sizes(&self, out: &mut Vec<usize>) {
-        self.inner.queue_sizes(out)
-    }
-
-    fn backlog(&self) -> Backlog {
-        self.inner.backlog()
-    }
-
     fn drain_events(&mut self, out: &mut Vec<ObsEvent>) {
         out.append(&mut self.events);
         self.inner.drain_events(out);
-    }
-
-    fn end_of_run(&mut self) {
-        self.inner.end_of_run();
-    }
-
-    fn copy_failed(&mut self, d: &Departure, now: Slot, requeue: bool) -> RetryDisposition {
-        self.inner.copy_failed(d, now, requeue)
     }
 
     fn drain_reconciled_drops(&mut self, out: &mut Vec<DroppedCopy>) {
@@ -475,45 +461,12 @@ impl<S: Switch> Switch for FaultyFabric<S> {
         self.inner.drain_reconciled_drops(out);
     }
 
-    fn drain_admission_drops(&mut self, out: &mut Vec<AdmissionDrop>) {
-        self.inner.drain_admission_drops(out);
-    }
-
-    fn backpressure(&self, input: PortId) -> bool {
-        self.inner.backpressure(input)
-    }
-
-    fn set_span_recording(&mut self, on: bool) {
-        self.inner.set_span_recording(on)
-    }
-
-    fn drain_spans(&mut self, out: &mut Vec<SpanSample>) {
-        self.inner.drain_spans(out)
-    }
-
-    fn recycle(&mut self, outcome: SlotOutcome) {
-        self.inner.recycle(outcome)
-    }
-    fn quarantined_paths(&self, now: Slot, out: &mut Vec<(PortId, PortId)>) {
-        self.inner.quarantined_paths(now, out)
-    }
-    fn reserve_steady_state(&mut self, copies_per_voq: usize) {
-        self.inner.reserve_steady_state(copies_per_voq)
-    }
-
     fn save_state(&self) -> Result<Vec<u8>, StateError> {
-        let inner = self.inner.save_state()?;
-        Ok(frame_stack(
-            "faulty-fabric-stack",
-            &Checkpoint::snapshot_state(self),
-            &inner,
-        ))
+        crate::switch::save_layer_state(self, "faulty-fabric-stack")
     }
 
     fn load_state(&mut self, blob: &[u8]) -> Result<(), StateError> {
-        let (own, inner) = unframe_stack(blob, "faulty-fabric-stack")?;
-        Checkpoint::restore_state(self, own)?;
-        self.inner.load_state(inner)
+        crate::switch::load_layer_state(self, "faulty-fabric-stack", blob)
     }
 }
 
@@ -600,7 +553,8 @@ impl<S: Switch> Checkpoint for FaultyFabric<S> {
 mod tests {
     use super::*;
     use crate::checked::CheckedSwitch;
-    use fifoms_types::{PacketId, PortSet};
+    use crate::Backlog;
+    use fifoms_types::{Departure, PacketId, PortSet};
     use std::collections::VecDeque;
 
     /// Single shared FIFO serving one whole packet per slot.
@@ -753,24 +707,16 @@ mod tests {
         inner: FifoSwitch,
     }
 
-    impl Switch for RetryFifo {
+    impl crate::Layer for RetryFifo {
+        type Inner = FifoSwitch;
+        fn inner(&self) -> &FifoSwitch {
+            &self.inner
+        }
+        fn inner_mut(&mut self) -> &mut FifoSwitch {
+            &mut self.inner
+        }
         fn name(&self) -> String {
             "retry-fifo".into()
-        }
-        fn ports(&self) -> usize {
-            self.inner.ports()
-        }
-        fn admit(&mut self, packet: Packet) {
-            self.inner.admit(packet);
-        }
-        fn run_slot(&mut self, now: Slot) -> SlotOutcome {
-            self.inner.run_slot(now)
-        }
-        fn queue_sizes(&self, out: &mut Vec<usize>) {
-            self.inner.queue_sizes(out);
-        }
-        fn backlog(&self) -> Backlog {
-            self.inner.backlog()
         }
         fn copy_failed(&mut self, d: &Departure, _now: Slot, requeue: bool) -> RetryDisposition {
             if !requeue {

@@ -30,12 +30,11 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use fifoms_types::{
-    get_obs_event, put_obs_event, AdmissionDrop, Checkpoint, Departure, DroppedCopy, ObsEvent,
-    Packet, PacketId, PortId, RetryDisposition, Slot, SlotOutcome, SpanSample, StateError,
-    StateReader, StateWriter,
+    get_obs_event, put_obs_event, Checkpoint, Departure, ObsEvent, Packet, PacketId,
+    RetryDisposition, Slot, SlotOutcome, StateError, StateReader, StateWriter,
 };
 
-use crate::switch::{frame_stack, unframe_stack, Backlog, Switch};
+use crate::switch::Switch;
 
 /// The flight recorder's sampling gate.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
@@ -242,13 +241,15 @@ impl<S: Switch> InstrumentedSwitch<S> {
     }
 }
 
-impl<S: Switch> Switch for InstrumentedSwitch<S> {
-    fn name(&self) -> String {
-        self.inner.name()
+impl<S: Switch> crate::Layer for InstrumentedSwitch<S> {
+    type Inner = S;
+
+    fn inner(&self) -> &S {
+        &self.inner
     }
 
-    fn ports(&self) -> usize {
-        self.inner.ports()
+    fn inner_mut(&mut self) -> &mut S {
+        &mut self.inner
     }
 
     fn admit(&mut self, packet: Packet) {
@@ -285,14 +286,6 @@ impl<S: Switch> Switch for InstrumentedSwitch<S> {
         outcome
     }
 
-    fn queue_sizes(&self, out: &mut Vec<usize>) {
-        self.inner.queue_sizes(out)
-    }
-
-    fn backlog(&self) -> Backlog {
-        self.inner.backlog()
-    }
-
     fn drain_events(&mut self, out: &mut Vec<ObsEvent>) {
         out.append(&mut self.events);
         self.inner.drain_events(out);
@@ -320,49 +313,12 @@ impl<S: Switch> Switch for InstrumentedSwitch<S> {
         disposition
     }
 
-    fn drain_reconciled_drops(&mut self, out: &mut Vec<DroppedCopy>) {
-        self.inner.drain_reconciled_drops(out)
-    }
-
-    fn drain_admission_drops(&mut self, out: &mut Vec<AdmissionDrop>) {
-        self.inner.drain_admission_drops(out)
-    }
-
-    fn backpressure(&self, input: PortId) -> bool {
-        self.inner.backpressure(input)
-    }
-
-    fn set_span_recording(&mut self, on: bool) {
-        self.inner.set_span_recording(on)
-    }
-
-    fn drain_spans(&mut self, out: &mut Vec<SpanSample>) {
-        self.inner.drain_spans(out)
-    }
-
-    fn recycle(&mut self, outcome: SlotOutcome) {
-        self.inner.recycle(outcome)
-    }
-    fn quarantined_paths(&self, now: Slot, out: &mut Vec<(PortId, PortId)>) {
-        self.inner.quarantined_paths(now, out)
-    }
-    fn reserve_steady_state(&mut self, copies_per_voq: usize) {
-        self.inner.reserve_steady_state(copies_per_voq)
-    }
-
     fn save_state(&self) -> Result<Vec<u8>, StateError> {
-        let inner = self.inner.save_state()?;
-        Ok(frame_stack(
-            "instrumented-switch-stack",
-            &Checkpoint::snapshot_state(self),
-            &inner,
-        ))
+        crate::switch::save_layer_state(self, "instrumented-switch-stack")
     }
 
     fn load_state(&mut self, blob: &[u8]) -> Result<(), StateError> {
-        let (own, inner) = unframe_stack(blob, "instrumented-switch-stack")?;
-        Checkpoint::restore_state(self, own)?;
-        self.inner.load_state(inner)
+        crate::switch::load_layer_state(self, "instrumented-switch-stack", blob)
     }
 }
 
@@ -428,6 +384,7 @@ impl<S: Switch> Checkpoint for InstrumentedSwitch<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Backlog;
     use fifoms_types::{Departure, PortId, PortSet};
     use std::collections::VecDeque;
 

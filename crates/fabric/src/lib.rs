@@ -16,7 +16,11 @@
 //!   speedup `N` (§I);
 //! * [`Switch`] — the trait every queueing discipline in this workspace
 //!   implements (multicast-VOQ/FIFOMS, iSLIP, TATRA, OQ-FIFO, ...), which
-//!   is what the simulation engine drives.
+//!   is what the simulation engine drives;
+//! * [`Layer`] — the trait every switch wrapper implements instead
+//!   ([`CheckedSwitch`], [`FaultyFabric`], [`InstrumentedSwitch`]): it
+//!   forwards each `Switch` method to the inner switch unless the layer
+//!   overrides it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,4 +41,4 @@ pub use instrument::{InstrumentedSwitch, PacketTraceMode};
 pub use scoreboard::FaultScoreboard;
 pub use schedule::{CrossbarSchedule, ScheduleBuilder, ScheduleError};
 pub use speedup::SpeedupFabric;
-pub use switch::{frame_stack, unframe_stack, Backlog, Switch};
+pub use switch::{Backlog, Layer, Switch};

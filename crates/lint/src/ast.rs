@@ -1,8 +1,8 @@
 //! The item-level AST the structural rules run on.
 //!
 //! [`parser`](crate::parser) produces one [`FileAst`] per source file:
-//! structs with their fields, traits with their methods (and whether
-//! each has a default body), and impl blocks with per-method body spans.
+//! structs with their fields and impl blocks with per-method body
+//! spans.
 //! Spans are *significant-token index ranges* into the file's
 //! [`Matcher`](crate::matcher::Matcher), so rules can drop back to token
 //! scans inside any item without the AST having to model expressions —
@@ -55,41 +55,6 @@ pub struct StructDef {
     pub span: Span,
 }
 
-/// A method declared in a trait body.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TraitMethod {
-    /// Method name.
-    pub name: String,
-    /// Whether the trait supplies a default body (`fn f() { ... }`
-    /// rather than `fn f();`).
-    pub has_default_body: bool,
-    /// 1-based source line of the `fn` keyword.
-    pub line: usize,
-}
-
-/// A trait definition.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TraitDef {
-    /// Trait name.
-    pub name: String,
-    /// Declared methods, in order.
-    pub methods: Vec<TraitMethod>,
-    /// 1-based source line of the `trait` keyword.
-    pub line: usize,
-    /// Significant-token span of the whole item.
-    pub span: Span,
-}
-
-/// One generic parameter of an impl, with its inline bounds.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct GenericParam {
-    /// Parameter name (`S`, `T`, `'a` for lifetimes).
-    pub name: String,
-    /// Normalized bound text after the `:`, empty when unbounded.
-    /// Where-clause bounds on the same name are appended.
-    pub bounds: String,
-}
-
 /// A method defined inside an impl block.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ImplMethod {
@@ -111,8 +76,6 @@ pub struct ImplDef {
     pub self_ty: String,
     /// The self type's head identifier (`CheckedSwitch`, `Box`).
     pub self_ty_name: String,
-    /// The impl's generic parameters with bounds (incl. where clause).
-    pub generics: Vec<GenericParam>,
     /// Methods defined in the block, in order.
     pub methods: Vec<ImplMethod>,
     /// 1-based source line of the `impl` keyword.
@@ -128,15 +91,6 @@ impl ImplDef {
     pub fn method(&self, name: &str) -> Option<&ImplMethod> {
         self.methods.iter().find(|m| m.name == name)
     }
-
-    /// Whether some impl generic parameter is bounded by `trait_name`
-    /// (inline or via the where clause) — the "wraps an inner
-    /// implementor" signal the forwarding rule keys on.
-    pub fn param_bounded_by(&self, trait_name: &str) -> Option<&GenericParam> {
-        self.generics
-            .iter()
-            .find(|p| p.bounds.split_whitespace().any(|w| w == trait_name))
-    }
 }
 
 /// Everything the parser extracted from one file.
@@ -144,8 +98,6 @@ impl ImplDef {
 pub struct FileAst {
     /// Struct definitions.
     pub structs: Vec<StructDef>,
-    /// Trait definitions.
-    pub traits: Vec<TraitDef>,
     /// Impl blocks.
     pub impls: Vec<ImplDef>,
 }

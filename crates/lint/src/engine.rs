@@ -90,7 +90,6 @@ pub fn lint_root(root: &Path) -> Result<Report, String> {
 
     // The structural rules run over the whole-workspace program model.
     let program = Program::build(sources.clone());
-    findings.extend(structural::r7_wrapper_forwarding(&program));
     findings.extend(structural::r8_checkpoint_coverage(&program));
     let manifest_path = root.join(STATE_MANIFEST_REL);
     let old_manifest = if manifest_path.is_file() {

@@ -20,16 +20,14 @@
 //!   top-level argument splitting, `#[cfg(test)]` / `debug_assert!` span
 //!   exclusion, and the `// fifoms-lint: allow(Rk) reason` escape hatch.
 //! * [`parser`] + [`ast`] — a recursive-descent, total (never-panicking)
-//!   item-level parser over the token stream: structs with fields,
-//!   traits with default-body flags, impl blocks with per-method body
-//!   spans.
+//!   item-level parser over the token stream: structs with fields and
+//!   impl blocks with per-method body spans.
 //! * [`model`] — the cross-file [`model::Program`]: every workspace
-//!   file's AST, with trait/struct lookup across crate boundaries.
+//!   file's AST, with struct lookup across crate boundaries.
 //! * [`rules`] — the token-level disciplines (see [`rules::RULES`] and
 //!   DESIGN.md §11), including the R10 guarded-index dataflow pass.
-//! * [`structural`] — the program-model disciplines: R7 wrapper
-//!   forwarding, R8 checkpoint field coverage + state fingerprints, R9
-//!   schema drift.
+//! * [`structural`] — the program-model disciplines: R8 checkpoint
+//!   field coverage + state fingerprints, R9 schema drift.
 //! * [`engine`] — the workspace walker, the baseline ratchet
 //!   (grandfathered findings fail only when they *grow*; shrinks are
 //!   celebrated), and the `fifoms-lint-v1` JSON report consumed by

@@ -1,16 +1,14 @@
 //! The cross-file program model: every workspace file's AST, with
 //! lookup by name across crate boundaries.
 //!
-//! The structural rules (R7/R8) reason about relationships no single
-//! file shows: an `impl Switch for CheckedSwitch<S>` in
-//! `crates/fabric` forwarding a trait defined in the same crate but a
-//! different file, a `Checkpoint` impl in `crates/obs` covering a
-//! struct declared 300 lines earlier. The model is name-keyed rather
+//! The structural rule R8 reasons about relationships no single file
+//! shows: a `Checkpoint` impl covering a struct declared in another
+//! file, or 300 lines earlier. The model is name-keyed rather
 //! than path-resolved — the workspace has no name collisions among the
 //! items the rules care about, and a full resolver would be most of a
 //! compiler.
 
-use crate::ast::{FileAst, StructDef, TraitDef};
+use crate::ast::{FileAst, StructDef};
 use crate::matcher::Matcher;
 use crate::parser;
 
@@ -58,17 +56,6 @@ impl Program {
         self.files.push(ProgramFile { rel, src, ast });
     }
 
-    /// The first trait definition named `name`, with its file.
-    pub fn trait_def(&self, name: &str) -> Option<(&ProgramFile, &TraitDef)> {
-        self.files.iter().find_map(|f| {
-            f.ast
-                .traits
-                .iter()
-                .find(|t| t.name == name)
-                .map(|t| (f, t))
-        })
-    }
-
     /// The first struct definition named `name`, with its file.
     pub fn struct_def(&self, name: &str) -> Option<(&ProgramFile, &StructDef)> {
         self.files.iter().find_map(|f| {
@@ -90,19 +77,17 @@ mod tests {
         let p = Program::build(vec![
             (
                 "crates/a/src/lib.rs".into(),
-                "pub trait Switch { fn go(&self) {} }".into(),
+                "pub struct V { x: u8 }".into(),
             ),
             (
                 "crates/b/src/wrap.rs".into(),
-                "pub struct W<S> { inner: S }\nimpl<S: Switch> Switch for W<S> { fn go(&self) { self.inner.go() } }".into(),
+                "pub struct W<S> { inner: S }\nimpl<S> Checkpoint for W<S> {}".into(),
             ),
         ]);
-        let (tf, t) = p.trait_def("Switch").expect("trait found");
-        assert_eq!(tf.rel, "crates/a/src/lib.rs");
-        assert_eq!(t.methods.len(), 1);
         let (sf, s) = p.struct_def("W").expect("struct found");
         assert_eq!(sf.rel, "crates/b/src/wrap.rs");
         assert_eq!(s.fields[0].name, "inner");
-        assert!(p.trait_def("Nope").is_none());
+        assert_eq!(p.struct_def("V").expect("struct found").0.rel, "crates/a/src/lib.rs");
+        assert!(p.struct_def("Nope").is_none());
     }
 }

@@ -8,7 +8,7 @@
 //!    mutated files. Every token access is bounds-checked and every
 //!    loop provably advances the cursor.
 //! 2. **Skippable.** It understands exactly the item shapes the
-//!    structural rules need (`struct`, `trait`, `impl`, `mod`) and
+//!    structural rules need (`struct`, `impl`, `mod`) and
 //!    skips everything else by consuming to the next `;` or balanced
 //!    `{}` — an unknown construct degrades coverage, never correctness.
 //! 3. **Span-preserving.** Items and method bodies carry
@@ -21,7 +21,7 @@
 //! closer, which covers every form the workspace uses (`Fn(A) -> B`
 //! bounds included).
 
-use crate::ast::{Field, FileAst, GenericParam, ImplDef, ImplMethod, Span, StructDef, TraitDef, TraitMethod};
+use crate::ast::{Field, FileAst, ImplDef, ImplMethod, Span, StructDef};
 use crate::matcher::Matcher;
 
 /// Parse one lexed file into its item-level AST. Total: returns an
@@ -101,7 +101,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
         match self.t(at) {
             "struct" => self.struct_item(at),
-            "trait" => self.trait_item(at),
             "impl" => self.impl_item(at),
             "mod" => self.mod_item(at, hi),
             _ => self.skip_item(at).max(pos + 1),
@@ -157,9 +156,8 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     /// Scan a `<...>` generic group starting at `pos` (which must hold
-    /// `<`); returns `(params, one_past_close)`. Each param keeps its
-    /// inline bound text.
-    fn generics(&self, pos: usize) -> (Vec<GenericParam>, usize) {
+    /// `<`); returns `(param names, one_past_close)`.
+    fn generics(&self, pos: usize) -> (Vec<String>, usize) {
         if self.t(pos) != "<" {
             return (Vec::new(), pos);
         }
@@ -203,25 +201,15 @@ impl<'a, 'b> Parser<'a, 'b> {
         (params, (close + 1).min(self.m.len().max(pos + 1)))
     }
 
-    /// Parse one generic-parameter segment `lo..hi` into `params`.
-    fn push_param(&self, params: &mut Vec<GenericParam>, lo: usize, hi: usize) {
+    /// Push the name of the generic-parameter segment `lo..hi`.
+    fn push_param(&self, params: &mut Vec<String>, lo: usize, hi: usize) {
         let mut at = lo;
         if self.t(at) == "const" {
             at += 1;
         }
-        if at >= hi {
-            return;
+        if at < hi && !self.t(at).is_empty() {
+            params.push(self.t(at).to_string());
         }
-        let name = self.t(at).to_string();
-        if name.is_empty() {
-            return;
-        }
-        let bounds = if self.t(at + 1) == ":" {
-            self.m.snippet((at + 2).min(hi), hi, 64)
-        } else {
-            String::new()
-        };
-        params.push(GenericParam { name, bounds });
     }
 
     /// `struct Name<...> { fields }` / tuple / unit struct.
@@ -229,7 +217,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         let kw = pos;
         let name = self.t(pos + 1).to_string();
         let (generics, mut at) = self.generics(pos + 2);
-        let generics: Vec<String> = generics.into_iter().map(|p| p.name).collect();
         if at == pos + 2 {
             at = pos + 2; // no generic group
         }
@@ -288,95 +275,10 @@ impl<'a, 'b> Parser<'a, 'b> {
         fields
     }
 
-    /// `trait Name<...>: Super { fn required(...); fn defaulted() {..} }`.
-    fn trait_item(&mut self, pos: usize) -> usize {
-        let kw = pos;
-        let name = self.t(pos + 1).to_string();
-        // Everything up to the body brace: generics, supertraits, where.
-        let mut at = pos + 2;
-        let mut depth = 0i64;
-        while at < self.m.len() && !(depth == 0 && self.t(at) == "{") {
-            match self.t(at) {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                ";" if depth == 0 => {
-                    // `trait Alias = ...;` or malformed input: bail out.
-                    return at + 1;
-                }
-                _ => {}
-            }
-            at += 1;
-        }
-        let Some(close) = self.m.matching_close(at) else {
-            return self.m.len();
-        };
-        let mut methods = Vec::new();
-        let mut k = at + 1;
-        while k < close {
-            if self.t(k) == "#" && self.t(k + 1) == "[" {
-                match self.m.matching_close(k + 1) {
-                    Some(c) if c < close => {
-                        k = c + 1;
-                        continue;
-                    }
-                    _ => break,
-                }
-            }
-            if self.t(k) == "fn" {
-                let mname = self.t(k + 1).to_string();
-                let line = self.line(k);
-                let (has_default_body, next) = self.fn_tail(k + 2, close);
-                methods.push(TraitMethod {
-                    name: mname,
-                    has_default_body,
-                    line,
-                });
-                k = next;
-                continue;
-            }
-            // Associated consts/types and anything else: next `;`/body.
-            k = self.skip_item(k).max(k + 1);
-        }
-        self.out.traits.push(TraitDef {
-            name,
-            methods,
-            line: self.line(kw),
-            span: Span { lo: kw, hi: close + 1 },
-        });
-        close + 1
-    }
-
-    /// After a method's `fn name`, consume the signature; returns
-    /// `(has_body, one_past_end)` where the end is past the body's `}`
-    /// or the terminating `;`.
-    fn fn_tail(&self, pos: usize, limit: usize) -> (bool, usize) {
-        let mut depth = 0i64;
-        let mut at = pos;
-        while at < limit {
-            match self.t(at) {
-                "{" if depth == 0 => {
-                    return match self.m.matching_close(at) {
-                        Some(close) => (true, close + 1),
-                        None => (true, limit),
-                    };
-                }
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ";" if depth == 0 => return (false, at + 1),
-                _ => {}
-            }
-            at += 1;
-        }
-        (false, limit)
-    }
-
     /// `impl<G> Trait for Type where ... { methods }` or `impl Type {..}`.
     fn impl_item(&mut self, pos: usize) -> usize {
         let kw = pos;
-        let (mut generics, mut at) = self.generics(pos + 1);
-        if at == pos + 1 {
-            at = pos + 1;
-        }
+        let (_, at) = self.generics(pos + 1);
         // First type: the trait (if `for` follows) or the self type.
         let (first_lo, first_hi, stop) = self.type_until(at, &["for", "where", "{"]);
         let (trait_name, self_lo, self_hi, mut at) = if stop == "for" {
@@ -385,11 +287,10 @@ impl<'a, 'b> Parser<'a, 'b> {
         } else {
             (None, first_lo, first_hi, first_hi)
         };
-        // Where clause: fold bounds into the matching generic params.
+        // Where clause: skipped to the body brace.
         if self.t(at) == "where" {
             let mut k = at + 1;
             let mut depth = 0i64;
-            let clause_lo = k;
             while k < self.m.len() && !(depth == 0 && self.t(k) == "{") {
                 match self.t(k) {
                     "(" | "[" | "<" => depth += 1,
@@ -399,7 +300,6 @@ impl<'a, 'b> Parser<'a, 'b> {
                 }
                 k += 1;
             }
-            self.fold_where(&mut generics, clause_lo, k);
             at = k;
         }
         if self.t(at) != "{" {
@@ -481,7 +381,6 @@ impl<'a, 'b> Parser<'a, 'b> {
             trait_name,
             self_ty,
             self_ty_name,
-            generics,
             methods,
             line: self.line(kw),
             span: Span { lo: kw, hi: close + 1 },
@@ -534,37 +433,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         tail
     }
 
-    /// Merge `where` clause bounds (`Name: Bound + ...`) into matching
-    /// generic parameters within `lo..hi`.
-    fn fold_where(&self, generics: &mut [GenericParam], lo: usize, hi: usize) {
-        let mut seg_lo = lo;
-        let mut depth = 0i64;
-        for k in lo..=hi.min(self.m.len()) {
-            let ends = k == hi || (depth == 0 && self.t(k) == ",");
-            if !ends {
-                match self.t(k) {
-                    "(" | "[" | "<" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    ">" if self.t(k - 1) != "-" => depth -= 1,
-                    _ => {}
-                }
-                continue;
-            }
-            let name = self.t(seg_lo);
-            if self.t(seg_lo + 1) == ":" {
-                if let Some(p) = generics.iter_mut().find(|p| p.name == name) {
-                    let extra = self.m.snippet(seg_lo + 2, k, 64);
-                    if !extra.is_empty() {
-                        if !p.bounds.is_empty() {
-                            p.bounds.push_str(" + ");
-                        }
-                        p.bounds.push_str(&extra);
-                    }
-                }
-            }
-            seg_lo = k + 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -597,25 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn trait_methods_distinguish_default_bodies() {
-        let a = ast(
-            "pub trait Switch {\n fn name(&self) -> String;\n fn drain(&mut self, out: &mut Vec<u8>) {}\n fn ports(&self) -> usize;\n}",
-        );
-        assert_eq!(a.traits.len(), 1);
-        let t = &a.traits[0];
-        assert_eq!(t.name, "Switch");
-        let defaulted: Vec<&str> = t
-            .methods
-            .iter()
-            .filter(|m| m.has_default_body)
-            .map(|m| m.name.as_str())
-            .collect();
-        assert_eq!(defaulted, ["drain"]);
-        assert_eq!(t.methods.len(), 3);
-    }
-
-    #[test]
-    fn impl_records_trait_self_ty_and_bounds() {
+    fn impl_records_trait_and_self_ty() {
         let a = ast(
             "impl<S: Switch> Switch for Wrapper<S> {\n fn name(&self) -> String { self.inner.name() }\n}\nimpl<T: Switch + ?Sized> Switch for Box<T> {\n fn name(&self) -> String { (**self).name() }\n}\nimpl Plain { fn go(&self) {} }",
         );
@@ -623,21 +473,19 @@ mod tests {
         let w = &a.impls[0];
         assert_eq!(w.trait_name.as_deref(), Some("Switch"));
         assert_eq!(w.self_ty_name, "Wrapper");
-        assert!(w.param_bounded_by("Switch").is_some());
-        let b = &a.impls[1];
-        assert_eq!(b.self_ty_name, "Box");
-        assert!(b.param_bounded_by("Switch").is_some());
+        assert_eq!(a.impls[1].self_ty_name, "Box");
         let p = &a.impls[2];
         assert!(p.trait_name.is_none());
         assert_eq!(p.methods.len(), 1);
     }
 
     #[test]
-    fn where_clause_bounds_are_folded() {
+    fn where_clauses_are_skipped_to_the_body() {
         let a = ast("impl<S> Checkpoint for W<S> where S: Switch + Checkpoint { fn state_kind(&self) -> &'static str { \"w\" } }");
         let i = &a.impls[0];
-        assert!(i.param_bounded_by("Switch").is_some());
-        assert!(i.param_bounded_by("Checkpoint").is_some());
+        assert_eq!(i.trait_name.as_deref(), Some("Checkpoint"));
+        assert_eq!(i.self_ty_name, "W");
+        assert_eq!(i.methods.len(), 1);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!   findings. (R10 took over indexing from R3 once the intra-function
 //!   dataflow pass could tell a proven bound from a hopeful one.)
 //!
-//! The cross-file structural rules R7–R9 live in
+//! The cross-file structural rules R8–R9 live in
 //! [`structural`](crate::structural).
 
 use crate::lexer::{is_float_literal, TokKind};
@@ -65,7 +65,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
     ("R4", "event-vocabulary", "ObsEvent kinds and schemas/events.schema.json agree in both directions"),
     ("R5", "justification-audit", "every unsafe block has SAFETY:, every INVARIANT: tag a justification"),
     ("R6", "fingerprint-floats", "grid-hash fingerprint code formats floats only via to_bits()"),
-    ("R7", "wrapper-forwarding", "wrapper impls override and delegate every default-bodied trait method"),
     ("R8", "checkpoint-coverage", "Checkpoint impls cover every struct field both ways; field changes need a state_version bump"),
     ("R9", "schema-drift", "derived schemas match their emitters bidirectionally and every schema id is emitted somewhere"),
     ("R10", "guarded-index", "hot-path slice indexing is dominated by a len check or fed by a checked accessor"),
@@ -109,12 +108,6 @@ pub const RULE_DOCS: &[(&str, &str, &str, &str)] = &[
         "Checkpoint identity hashes cover formatted parameter values. Decimal float formatting differs across platforms and rounds (0.30000000000000004), silently forking resume identities; to_bits() is exact.",
         "h.write_str(&format!(\"load={load}\"));   // inside grid_hash",
         "format `load.to_bits()` instead; mark additional identity functions with a `// FINGERPRINT` comment",
-    ),
-    (
-        "R7",
-        "Default-bodied trait methods are silent no-ops on wrappers that forget to forward them: the wrapped switch's spans/drops/state go undrained and no runtime test fails until that hook matters. Four wrappers were hand-threaded in PRs 6-9; R7 makes the discipline mechanical.",
-        "impl<S: Switch> Switch for CheckedSwitch<S> { /* no drain_spans */ }",
-        "forward the method (`self.inner.drain_spans(out)`), or `// fifoms-lint: allow(R7) <reason>` on the impl line for a deliberate interception",
     ),
     (
         "R8",

@@ -1,13 +1,6 @@
-//! The structural disciplines R7–R9, run over the cross-file
+//! The structural disciplines R8–R9, run over the cross-file
 //! [`Program`] model rather than single token streams.
 //!
-//! * **R7 wrapper-forwarding completeness** — any `impl T for W` where
-//!   `W` wraps an inner `T` (an impl generic parameter bounded by `T`
-//!   appearing in the self type or a field type) must override *and
-//!   delegate* every trait method that has a default body. A missed
-//!   override silently runs the trait's no-op default on the wrapper
-//!   while the wrapped switch's state goes undrained — the exact bug
-//!   class PRs 6–9 hand-threaded across four wrappers per hook.
 //! * **R8 checkpoint field coverage** — every `impl Checkpoint` must
 //!   reference each field of its struct in both `write_state` and
 //!   `read_state`, unless the field's type is a generic parameter (the
@@ -64,50 +57,6 @@ fn body_mentions(m: &Matcher, body: &Span, name: &str) -> bool {
         .any(|si| m.tok(si).kind == TokKind::Ident && m.text(si) == name)
 }
 
-/// Whether the body span contains `. name` — the delegation signature
-/// (`self.inner.name(...)`, `(**self).name(...)`).
-fn body_delegates(m: &Matcher, body: &Span, name: &str) -> bool {
-    (body.lo..body.hi.min(m.len()).saturating_sub(1))
-        .any(|si| m.text(si) == "." && m.text(si + 1) == name)
-}
-
-/// Delegation evidence with one hop through same-type helpers: the
-/// method body either contains `. dm (` directly, or calls
-/// `self.helper(..)` where `helper` — defined in any impl block for the
-/// same self type in the same file — contains it (the
-/// `absorb_inner_drops` pattern: the wrapper drains the inner switch
-/// inside a shared bookkeeping helper).
-fn delegates(m: &Matcher, file: &crate::model::ProgramFile, imp: &ImplDef, body: &Span, dm: &str) -> bool {
-    if body_delegates(m, body, dm) {
-        return true;
-    }
-    let hi = body.hi.min(m.len());
-    for si in body.lo..hi.saturating_sub(3) {
-        if m.text(si) != "self"
-            || m.text(si + 1) != "."
-            || m.tok(si + 2).kind != TokKind::Ident
-            || m.text(si + 3) != "("
-        {
-            continue;
-        }
-        let helper = m.text(si + 2);
-        if helper == dm {
-            continue;
-        }
-        let found = file
-            .ast
-            .impls
-            .iter()
-            .filter(|other| other.self_ty_name == imp.self_ty_name)
-            .filter_map(|other| other.method(helper))
-            .any(|hm| body_delegates(m, &hm.body, dm));
-        if found {
-            return true;
-        }
-    }
-    false
-}
-
 /// Push a finding unless an allow directive suppresses it.
 #[allow(clippy::too_many_arguments)]
 fn push(
@@ -130,111 +79,6 @@ fn push(
         key,
         message,
     });
-}
-
-// ---------------------------------------------------------------- R7 --
-
-/// An impl is a *wrapper* of `trait_name` when one of its generic
-/// parameters is bounded by that trait and the parameter appears in the
-/// self type (`Box<T>`) or in a field type of the resolved struct
-/// (`CheckedSwitch<S> { inner: S, .. }`).
-fn is_wrapper(program: &Program, imp: &ImplDef, trait_name: &str) -> bool {
-    let Some(param) = imp.param_bounded_by(trait_name) else {
-        return false;
-    };
-    if imp
-        .self_ty
-        .split_whitespace()
-        .any(|w| w == param.name)
-    {
-        return true;
-    }
-    program
-        .struct_def(&imp.self_ty_name)
-        .is_some_and(|(_, s)| {
-            s.fields
-                .iter()
-                .any(|f| f.ty.split_whitespace().any(|w| w == param.name))
-        })
-}
-
-/// R7: every default-bodied method of a workspace trait must be
-/// overridden and delegated by every wrapper impl of that trait.
-pub fn r7_wrapper_forwarding(program: &Program) -> Vec<Finding> {
-    let mut out = Vec::new();
-    // Collect (trait name, default-bodied method names) pairs first so
-    // the borrow of `program` is released before the impl walk.
-    let traits: Vec<(String, Vec<String>)> = program
-        .files
-        .iter()
-        .flat_map(|f| f.ast.traits.iter())
-        .map(|t| {
-            (
-                t.name.clone(),
-                t.methods
-                    .iter()
-                    .filter(|m| m.has_default_body)
-                    .map(|m| m.name.clone())
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .filter(|(_, defaulted)| !defaulted.is_empty())
-        .collect();
-    for file in &program.files {
-        if file.ast.impls.iter().all(|i| i.test_only || i.trait_name.is_none()) {
-            continue;
-        }
-        let m = file.matcher();
-        for imp in &file.ast.impls {
-            if imp.test_only {
-                continue;
-            }
-            let Some(tn) = imp.trait_name.as_deref() else {
-                continue;
-            };
-            let Some((_, defaulted)) = traits.iter().find(|(name, _)| name == tn) else {
-                continue;
-            };
-            if !is_wrapper(program, imp, tn) {
-                continue;
-            }
-            for dm in defaulted {
-                match imp.method(dm) {
-                    None => push(
-                        &mut out,
-                        &m,
-                        &file.rel,
-                        "R7",
-                        imp.line,
-                        format!("missing-forward {dm}"),
-                        format!(
-                            "wrapper `{}` does not override default-bodied `{tn}::{dm}`; \
-                             the trait's no-op default swallows the wrapped switch's behavior — forward it",
-                            imp.self_ty
-                        ),
-                    ),
-                    Some(method) => {
-                        if !delegates(&m, file, imp, &method.body, dm) {
-                            push(
-                                &mut out,
-                                &m,
-                                &file.rel,
-                                "R7",
-                                method.line,
-                                format!("no-delegate {dm}"),
-                                format!(
-                                    "wrapper `{}` overrides `{tn}::{dm}` but never calls `.{dm}(..)` \
-                                     on the wrapped value; the inner switch's hook is silently dropped",
-                                    imp.self_ty
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------- R8 --
@@ -768,8 +612,6 @@ pub fn r9_schema_drift(
 mod tests {
     use super::*;
 
-    const TRAIT: &str = "pub trait Switch {\n fn name(&self) -> String;\n fn drain_spans(&mut self, out: &mut Vec<u8>) { let _ = out; }\n fn recycle(&mut self, x: u8) { let _ = x; }\n}";
-
     fn program(files: &[(&str, &str)]) -> Program {
         Program::build(
             files
@@ -777,51 +619,6 @@ mod tests {
                 .map(|(r, s)| (r.to_string(), s.to_string()))
                 .collect(),
         )
-    }
-
-    #[test]
-    fn r7_flags_missing_forward_and_non_delegating_override() {
-        let wrapper = "pub struct W<S> { inner: S }\nimpl<S: Switch> Switch for W<S> {\n fn name(&self) -> String { self.inner.name() }\n fn drain_spans(&mut self, out: &mut Vec<u8>) { let _ = out; }\n}";
-        let p = program(&[
-            ("crates/fabric/src/switch.rs", TRAIT),
-            ("crates/fabric/src/wrap.rs", wrapper),
-        ]);
-        let f = r7_wrapper_forwarding(&p);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().any(|x| x.key == "missing-forward recycle"));
-        assert!(f.iter().any(|x| x.key == "no-delegate drain_spans"));
-    }
-
-    #[test]
-    fn r7_accepts_complete_wrappers_and_skips_plain_impls() {
-        let good = "pub struct W<S> { inner: S }\nimpl<S: Switch> Switch for W<S> {\n fn name(&self) -> String { self.inner.name() }\n fn drain_spans(&mut self, out: &mut Vec<u8>) { self.inner.drain_spans(out) }\n fn recycle(&mut self, x: u8) { self.inner.recycle(x) }\n}\nimpl<T: Switch + ?Sized> Switch for Box<T> {\n fn name(&self) -> String { (**self).name() }\n fn drain_spans(&mut self, out: &mut Vec<u8>) { (**self).drain_spans(out) }\n fn recycle(&mut self, x: u8) { (**self).recycle(x) }\n}\npub struct Plain { q: u8 }\nimpl Switch for Plain {\n fn name(&self) -> String { String::new() }\n}";
-        let p = program(&[
-            ("crates/fabric/src/switch.rs", TRAIT),
-            ("crates/fabric/src/wrap.rs", good),
-        ]);
-        let f = r7_wrapper_forwarding(&p);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn r7_accepts_delegation_through_same_type_helpers() {
-        let src = "pub struct W<S> { inner: S, buf: Vec<u8> }\nimpl<S: Switch> W<S> {\n fn absorb(&mut self) { let mut d = Vec::new(); self.inner.drain_spans(&mut d); self.buf.extend(d); }\n}\nimpl<S: Switch> Switch for W<S> {\n fn name(&self) -> String { self.inner.name() }\n fn drain_spans(&mut self, out: &mut Vec<u8>) { self.absorb(); out.append(&mut self.buf); }\n fn recycle(&mut self, x: u8) { self.inner.recycle(x) }\n}";
-        let p = program(&[
-            ("crates/fabric/src/switch.rs", TRAIT),
-            ("crates/fabric/src/wrap.rs", src),
-        ]);
-        let f = r7_wrapper_forwarding(&p);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn r7_skips_test_only_impls() {
-        let toy = "#[cfg(test)]\nmod tests {\n struct Toy<S> { inner: S }\n impl<S: Switch> Switch for Toy<S> {\n  fn name(&self) -> String { String::new() }\n }\n}";
-        let p = program(&[
-            ("crates/fabric/src/switch.rs", TRAIT),
-            ("crates/fabric/src/toy.rs", toy),
-        ]);
-        assert!(r7_wrapper_forwarding(&p).is_empty());
     }
 
     const CKPT: &str = "pub struct S { a: u32, b: u64, cap: usize }\nimpl Checkpoint for S {\n fn state_kind(&self) -> &'static str { \"s\" }\n fn state_version(&self) -> u32 { 2 }\n fn write_state(&self, w: &mut W) { w.u32(self.a); w.u64(self.b); }\n fn read_state(&mut self, r: &mut R) { self.a = r.u32(); self.b = r.u64(); }\n}";

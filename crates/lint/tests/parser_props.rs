@@ -8,13 +8,11 @@
 
 use fifoms_lint::matcher::Matcher;
 use fifoms_lint::parser;
-use fifoms_lint::structural::{
-    r7_wrapper_forwarding, r8_checkpoint_coverage, render_state_manifest, state_entries,
-};
+use fifoms_lint::structural::{r8_checkpoint_coverage, render_state_manifest, state_entries};
 use fifoms_lint::Program;
 
 /// The corpus: every committed parser fixture plus the two richest real
-/// sources the workspace has (trait-heavy and checkpoint-heavy).
+/// sources the workspace has (impl-heavy and checkpoint-heavy).
 fn corpus() -> Vec<(String, String)> {
     let mut out = Vec::new();
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -181,7 +179,6 @@ fn parser_and_structural_rules_never_panic_on_mutated_sources() {
                 ("crates/x/src/mutant.rs".into(), mutant),
                 ("crates/x/src/good.rs".into(), src.clone()),
             ]);
-            let _ = r7_wrapper_forwarding(&program);
             let _ = r8_checkpoint_coverage(&program);
             let _ = render_state_manifest(&state_entries(&program), None);
             mutants += 1;

@@ -6,12 +6,12 @@
 //! Fixtures are checked through `check_file` with a *synthetic* relative
 //! path: the path picks the crate domain, so the same source can be
 //! asserted flagged inside a rule's domain and ignored outside it. The
-//! structural rules (R7/R8) run the same fixtures through the program
-//! model instead.
+//! structural rule R8 runs its fixtures through the program model
+//! instead.
 
 use fifoms_lint::matcher::Matcher;
 use fifoms_lint::rules::{check_file, check_vocabulary, Finding};
-use fifoms_lint::structural::{r7_wrapper_forwarding, r8_checkpoint_coverage, r9_schema_drift};
+use fifoms_lint::structural::{r8_checkpoint_coverage, r9_schema_drift};
 use fifoms_lint::Program;
 use fifoms_obs::Json;
 
@@ -296,7 +296,7 @@ fn r9_schema_ids_must_be_emitted_somewhere() {
         .any(|x| x.key == "dead-schema-id fifoms-timeseries-v1"));
 }
 
-// ---------------------------------------------------------------- R7 --
+// ---------------------------------------------------------------- R8 --
 
 fn program(files: &[(&str, &str)]) -> Program {
     Program::build(
@@ -306,43 +306,6 @@ fn program(files: &[(&str, &str)]) -> Program {
             .collect(),
     )
 }
-
-#[test]
-fn r7_flags_missed_forwards_and_non_delegating_overrides() {
-    let p = program(&[
-        (
-            "crates/fabric/src/switch.rs",
-            include_str!("fixtures/r7_trait.rs"),
-        ),
-        (
-            "crates/fabric/src/logging.rs",
-            include_str!("fixtures/r7_bad.rs"),
-        ),
-    ]);
-    let f = r7_wrapper_forwarding(&p);
-    assert_eq!(count(&f, "R7"), 2, "{f:#?}");
-    assert!(f.iter().any(|x| x.key == "missing-forward drain_spans"));
-    assert!(f.iter().any(|x| x.key == "no-delegate recycle"));
-    assert!(f.iter().any(|x| x.message.contains("LoggingSwitch")));
-}
-
-#[test]
-fn r7_accepts_complete_wrappers_boxes_and_plain_impls() {
-    let p = program(&[
-        (
-            "crates/fabric/src/switch.rs",
-            include_str!("fixtures/r7_trait.rs"),
-        ),
-        (
-            "crates/fabric/src/logging.rs",
-            include_str!("fixtures/r7_good.rs"),
-        ),
-    ]);
-    let f = r7_wrapper_forwarding(&p);
-    assert_eq!(f, Vec::new(), "good fixture must be fully clean");
-}
-
-// ---------------------------------------------------------------- R8 --
 
 #[test]
 fn r8_flags_unsaved_and_unrestored_fields() {

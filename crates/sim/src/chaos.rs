@@ -662,31 +662,57 @@ pub fn buffer_pressure_scenarios(seed: u64, count: usize, smoke: bool) -> Vec<Ch
         .collect()
 }
 
-/// Run one chaos cell under a wall-clock watchdog.
+/// Why [`run_guarded`] returned no value.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum GuardFailure {
+    /// The cell did not report within the limit; its thread was
+    /// abandoned.
+    Timeout {
+        /// The watchdog limit that fired, in milliseconds.
+        millis: u64,
+    },
+    /// The cell's thread could not be spawned.
+    Spawn(String),
+}
+
+/// Run one cell under a wall-clock watchdog: the supervised-cell
+/// primitive shared by sweep cells (`CellPolicy::timeout`), chaos
+/// campaign cells and `serve` workers.
 ///
 /// Buffer-pressure scenarios combine livelock-prone ingredients (full
 /// buffers, retries, faults); a cell that wedges must fail the campaign
 /// in bounded time rather than hang CI. The cell runs on its own named
-/// thread; if it does not report within `limit_millis`, `Err(limit)` is
-/// returned and the stuck thread is abandoned (the process exits with
-/// the campaign verdict anyway). Mirrors the sweep runner's cell guard.
+/// thread; if it does not report within `limit_millis`,
+/// [`GuardFailure::Timeout`] is returned and the stuck thread is
+/// abandoned (the process exits with the campaign verdict anyway).
+/// Panics are the caller's to contain: a panicking `run` drops its
+/// sender, which reads as a timeout here, so wrap it in `catch_unwind`.
 pub fn run_guarded<T: Send + 'static>(
     limit_millis: u64,
     run: impl FnOnce() -> T + Send + 'static,
-) -> Result<T, u64> {
+) -> Result<T, GuardFailure> {
     let (tx, rx) = std::sync::mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name("fifoms-chaos-cell".into())
+    std::thread::Builder::new()
+        .name("fifoms-cell".into())
         .spawn(move || {
             // The receiver may be gone already (timeout): ignore the error.
             let _ = tx.send(run());
-        });
-    if spawned.is_err() {
-        return Err(0);
-    }
-    match rx.recv_timeout(std::time::Duration::from_millis(limit_millis)) {
-        Ok(out) => Ok(out),
-        Err(_) => Err(limit_millis),
+        })
+        .map_err(|e| GuardFailure::Spawn(e.to_string()))?;
+    rx.recv_timeout(std::time::Duration::from_millis(limit_millis))
+        .map_err(|_| GuardFailure::Timeout {
+            millis: limit_millis,
+        })
+}
+
+/// The message a caught panic carried.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with a non-string payload".to_string()
     }
 }
 
@@ -987,7 +1013,6 @@ fn run_corruption_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fifoms_fabric::Backlog;
     use fifoms_types::SlotOutcome;
 
     #[test]
@@ -1097,15 +1122,16 @@ mod tests {
         dup: Option<fifoms_types::Departure>,
     }
 
-    impl Switch for DoubleRetry {
+    impl fifoms_fabric::Layer for DoubleRetry {
+        type Inner = MulticastVoqSwitch;
+        fn inner(&self) -> &MulticastVoqSwitch {
+            &self.inner
+        }
+        fn inner_mut(&mut self) -> &mut MulticastVoqSwitch {
+            &mut self.inner
+        }
         fn name(&self) -> String {
             "double-retry".into()
-        }
-        fn ports(&self) -> usize {
-            self.inner.ports()
-        }
-        fn admit(&mut self, packet: Packet) {
-            self.inner.admit(packet);
         }
         fn run_slot(&mut self, now: Slot) -> SlotOutcome {
             let mut out = self.inner.run_slot(now);
@@ -1114,12 +1140,6 @@ mod tests {
                 out.connections += 1;
             }
             out
-        }
-        fn queue_sizes(&self, out: &mut Vec<usize>) {
-            self.inner.queue_sizes(out);
-        }
-        fn backlog(&self) -> Backlog {
-            self.inner.backlog()
         }
         fn copy_failed(
             &mut self,
@@ -1188,7 +1208,11 @@ mod tests {
                 ..ChaosScenario::default()
             })
         });
-        assert_eq!(hung.err(), Some(40), "a wedged cell must time out, not hang");
+        assert_eq!(
+            hung.err(),
+            Some(GuardFailure::Timeout { millis: 40 }),
+            "a wedged cell must time out, not hang"
+        );
         let healthy = run_guarded(60_000, || {
             run_scenario(&ChaosScenario {
                 slots: 200,
@@ -1261,32 +1285,16 @@ mod tests {
         leaked: bool,
     }
 
-    impl Switch for LeakyAdmission {
+    impl fifoms_fabric::Layer for LeakyAdmission {
+        type Inner = MulticastVoqSwitch;
+        fn inner(&self) -> &MulticastVoqSwitch {
+            &self.inner
+        }
+        fn inner_mut(&mut self) -> &mut MulticastVoqSwitch {
+            &mut self.inner
+        }
         fn name(&self) -> String {
             "leaky-admission".into()
-        }
-        fn ports(&self) -> usize {
-            self.inner.ports()
-        }
-        fn admit(&mut self, packet: Packet) {
-            self.inner.admit(packet);
-        }
-        fn run_slot(&mut self, now: Slot) -> SlotOutcome {
-            self.inner.run_slot(now)
-        }
-        fn queue_sizes(&self, out: &mut Vec<usize>) {
-            self.inner.queue_sizes(out);
-        }
-        fn backlog(&self) -> Backlog {
-            self.inner.backlog()
-        }
-        fn copy_failed(
-            &mut self,
-            d: &fifoms_types::Departure,
-            now: Slot,
-            requeue: bool,
-        ) -> fifoms_types::RetryDisposition {
-            self.inner.copy_failed(d, now, requeue)
         }
         fn drain_admission_drops(&mut self, out: &mut Vec<AdmissionDrop>) {
             let before = out.len();

@@ -54,8 +54,8 @@ mod sweep;
 pub use audit::{alloc_audit, AllocAuditReport};
 pub use chaos::{
     buffer_pressure_scenarios, campaign_scenarios, run_corruption_campaign, run_guarded,
-    run_scenario, run_scenario_observed, run_scenario_on, shrink_scenario,
-    shrink_scenario_guarded, ChaosOutcome, ChaosScenario, CheckpointFault, CorruptionOutcome,
+    run_scenario, run_scenario_observed, run_scenario_on, shrink_scenario, shrink_scenario_guarded,
+    ChaosOutcome, ChaosScenario, CheckpointFault, CorruptionOutcome, GuardFailure,
 };
 pub use checkpoint::CheckpointJournal;
 pub use engine::{
@@ -63,8 +63,7 @@ pub use engine::{
     try_simulate_recoverable, Observer, RunConfig, RunResult, TelemetryChannel, TelemetrySpec,
 };
 pub use overload::{
-    loss_sweep, loss_sweep_observed, LossPoint, LossSweepConfig, OverloadControls,
-    OverloadGovernor,
+    loss_sweep, loss_sweep_observed, LossPoint, LossSweepConfig, OverloadControls, OverloadGovernor,
 };
 // Re-exported so sweep policies can be configured without a direct
 // dependency on the fabric crate.

@@ -33,7 +33,7 @@ use fifoms_obs::EventSink;
 use fifoms_traffic::TrafficModel;
 use fifoms_types::{ObsEvent, SimError, Slot};
 
-use crate::chaos::run_guarded;
+use crate::chaos::{panic_message, run_guarded, GuardFailure};
 use crate::engine::{try_simulate_recoverable, Observer, RunConfig, RunResult};
 use crate::recover::{CheckpointConfig, RecoveryRuntime, ResumeInfo};
 
@@ -153,16 +153,6 @@ where
     Ok((result, resumed_from, replayed))
 }
 
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Exponential backoff for the `k`-th restart (1-based), capped.
 fn backoff_millis(cfg: &ServeConfig, restart: u32) -> u64 {
     let doublings = restart.saturating_sub(1).min(20);
@@ -218,7 +208,7 @@ where
             }))
             .unwrap_or_else(|panic| {
                 Err(SimError::Recovery {
-                    message: format!("worker panicked: {}", panic_message(&panic)),
+                    message: format!("worker panicked: {}", panic_message(panic.as_ref())),
                 })
             })
         });
@@ -234,8 +224,12 @@ where
                 });
             }
             Ok(Err(e)) => last_failure = e.to_string(),
-            Err(0) => last_failure = "worker thread failed to spawn".to_string(),
-            Err(ms) => last_failure = format!("worker wedged: watchdog fired after {ms}ms"),
+            Err(GuardFailure::Spawn(e)) => {
+                last_failure = format!("worker thread failed to spawn: {e}")
+            }
+            Err(GuardFailure::Timeout { millis }) => {
+                last_failure = format!("worker wedged: watchdog fired after {millis}ms")
+            }
         }
         if restarts >= cfg.max_restarts {
             return Err(SimError::Recovery {

@@ -9,12 +9,12 @@ use fifoms_baselines::{
     TwoDrrSwitch, WbaSwitch,
 };
 use fifoms_core::{FifomsConfig, MulticastVoqSwitch, TieBreak};
-use fifoms_fabric::{Backlog, Switch};
+use fifoms_fabric::Switch;
 use fifoms_traffic::{
     BernoulliMulticast, BurstTraffic, DiagonalUnicast, HotspotUnicast, MixedTraffic,
     TrafficModel, UniformFanout, UniformUnicast,
 };
-use fifoms_types::{Packet, PortId, SimError, Slot, SlotOutcome};
+use fifoms_types::{PortId, SimError, Slot, SlotOutcome};
 
 /// A scheduler specification.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -67,23 +67,30 @@ pub enum SwitchKind {
 }
 
 /// The misbehaving switch behind [`SwitchKind::ChaosPanic`] and
-/// [`SwitchKind::ChaosStall`].
+/// [`SwitchKind::ChaosStall`]: a layer that intercepts only `name` and
+/// `run_slot`, so until it misbehaves the wrapped switch's hooks
+/// (state, retries, spans, drains) work as if it were unwrapped.
 struct ChaosSwitch {
     inner: Box<dyn Switch>,
     panic_at: Option<u64>,
     stall_at: Option<u64>,
 }
 
-impl Switch for ChaosSwitch {
+impl fifoms_fabric::Layer for ChaosSwitch {
+    type Inner = dyn Switch;
+
+    fn inner(&self) -> &Self::Inner {
+        &*self.inner
+    }
+
+    fn inner_mut(&mut self) -> &mut Self::Inner {
+        &mut *self.inner
+    }
+
     fn name(&self) -> String {
-        format!("chaos({})", self.inner.name())
+        format!("chaos({})", self.inner().name())
     }
-    fn ports(&self) -> usize {
-        self.inner.ports()
-    }
-    fn admit(&mut self, packet: Packet) {
-        self.inner.admit(packet);
-    }
+
     fn run_slot(&mut self, now: Slot) -> SlotOutcome {
         if self.panic_at.is_some_and(|at| now.0 >= at) {
             panic!("chaos switch injected a panic at slot {}", now.0);
@@ -95,13 +102,7 @@ impl Switch for ChaosSwitch {
                 std::thread::sleep(std::time::Duration::from_millis(50));
             }
         }
-        self.inner.run_slot(now)
-    }
-    fn queue_sizes(&self, out: &mut Vec<usize>) {
-        self.inner.queue_sizes(out);
-    }
-    fn backlog(&self) -> Backlog {
-        self.inner.backlog()
+        self.inner_mut().run_slot(now)
     }
 }
 
@@ -367,6 +368,67 @@ mod tests {
             assert_eq!(sw.ports(), 8, "{}", k.label());
             assert!(!k.label().is_empty());
         }
+    }
+
+    /// Drive `sw` through `slots` slots of seeded Bernoulli traffic and
+    /// return the last slot's outcome.
+    fn drive(sw: &mut dyn Switch, slots: u64) -> SlotOutcome {
+        let n = sw.ports();
+        let mut traffic = TrafficKind::Bernoulli { p: 0.5, b: 0.3 }.build(n, 11);
+        let mut arrivals = Vec::new();
+        let mut next_id = 0;
+        let mut outcome = SlotOutcome::idle();
+        for t in 0..slots {
+            let now = Slot(t);
+            traffic.next_slot(now, &mut arrivals);
+            for (i, dests) in arrivals.iter().enumerate() {
+                if let Some(dests) = dests {
+                    let id = fifoms_types::PacketId(next_id);
+                    next_id += 1;
+                    sw.admit(fifoms_types::Packet::new(
+                        id,
+                        now,
+                        PortId::new(i),
+                        dests.clone(),
+                    ));
+                }
+            }
+            sw.recycle(outcome);
+            outcome = sw.run_slot(now);
+        }
+        outcome
+    }
+
+    #[test]
+    fn chaos_switch_keeps_the_wrapped_switch_hooks() {
+        let n = 8;
+        let mut chaos = SwitchKind::ChaosPanic { at: u64::MAX }.build(n, 5);
+        let mut plain = SwitchKind::Fifoms.build(n, 5);
+        chaos.set_span_recording(true);
+        let last = drive(chaos.as_mut(), 40);
+        drive(plain.as_mut(), 40);
+
+        let blob = chaos.save_state().expect("chaos forwards save_state");
+        assert_eq!(blob, plain.save_state().expect("FIFOMS saves its state"));
+
+        let mut spans = Vec::new();
+        chaos.drain_spans(&mut spans);
+        for name in ["voq_scan", "request", "grant", "commit"] {
+            assert!(
+                spans.iter().any(|s| s.name == name),
+                "no {name} span: {spans:?}"
+            );
+        }
+
+        // What the egress fault path does with a copy killed in flight.
+        let killed = last
+            .departures
+            .first()
+            .expect("a copy left in the last slot");
+        assert_eq!(
+            chaos.copy_failed(killed, Slot(39), true),
+            fifoms_types::RetryDisposition::Requeued
+        );
     }
 
     #[test]

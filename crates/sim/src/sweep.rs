@@ -13,7 +13,7 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use fifoms_fabric::{
@@ -22,6 +22,7 @@ use fifoms_fabric::{
 use fifoms_obs::{EventSink, ProgressMeter};
 use fifoms_types::SimError;
 
+use crate::chaos::{panic_message, run_guarded, GuardFailure};
 use crate::checkpoint::CheckpointJournal;
 use crate::engine::{simulate, try_simulate_observed, Observer, RunConfig, RunResult, TelemetrySpec};
 use crate::spec::{SwitchKind, TrafficKind};
@@ -243,16 +244,6 @@ fn exec_cell(spec: &CellSpec) -> Result<SweepRow, SimError> {
     })
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with a non-string payload".to_string()
-    }
-}
-
 /// One attempt with panic containment.
 fn run_cell_protected(spec: &CellSpec) -> Result<SweepRow, CellFailureReason> {
     match catch_unwind(AssertUnwindSafe(|| exec_cell(spec))) {
@@ -270,24 +261,13 @@ fn run_cell_guarded(
     let Some(limit) = timeout else {
         return run_cell_protected(spec);
     };
-    let (tx, rx) = mpsc::channel();
     let owned = spec.clone();
-    let spawned = std::thread::Builder::new()
-        .name("fifoms-cell".into())
-        .spawn(move || {
-            // The receiver may be gone already (timeout): ignore the error.
-            let _ = tx.send(run_cell_protected(&owned));
-        });
-    if let Err(e) = spawned {
-        return Err(CellFailureReason::Error(format!(
-            "failed to spawn cell worker: {e}"
-        )));
-    }
-    match rx.recv_timeout(limit) {
+    match run_guarded(limit.as_millis() as u64, move || run_cell_protected(&owned)) {
         Ok(res) => res,
-        Err(_) => Err(CellFailureReason::Timeout {
-            millis: limit.as_millis() as u64,
-        }),
+        Err(GuardFailure::Timeout { millis }) => Err(CellFailureReason::Timeout { millis }),
+        Err(GuardFailure::Spawn(e)) => Err(CellFailureReason::Error(format!(
+            "failed to spawn cell worker: {e}"
+        ))),
     }
 }
 
@@ -801,7 +781,7 @@ mod tests {
         sweep.switches = vec![SwitchKind::ChaosPanic { at: 100 }, SwitchKind::Fifoms];
         let err = std::panic::catch_unwind(|| sweep.run_parallel(2))
             .expect_err("a failed cell must still surface");
-        let msg = super::panic_message(err.as_ref());
+        let msg = panic_message(err.as_ref());
         assert!(msg.contains("chaos-panic@100"), "{msg}");
         assert!(!msg.contains("poisoned"), "{msg}");
     }

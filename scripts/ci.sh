@@ -55,6 +55,11 @@
 #      (The chaos smoke in stage 8 already runs the checkpoint-corruption
 #      campaign — torn write, bit flip, truncation, stale tmp — as part
 #      of the same invocation.)
+#  14. the benchmark build: `perfbench/` is a cargo workspace of its own
+#      (path dependencies on crates/*), so nothing above compiles it; a
+#      `Switch` or wrapper API change that breaks it must fail here. Its
+#      tests run in release because the busy-wait attribution test needs
+#      release-speed slots to tell an injected spin from slot noise.
 #
 # Run from anywhere inside the repository.
 
@@ -155,5 +160,9 @@ grep -q '"event":"recovery_completed"' "$tmp/supervisor.jsonl"
 diff <(grep "admitted" "$tmp/serve-ref.txt") \
      <(grep "admitted" "$tmp/serve-kill.txt")
 grep -q "checkpoint-corruption campaign" "$tmp/chaos.txt"
+
+echo "== benchmark build + tests (perfbench workspace, release) =="
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "CI checks passed."
