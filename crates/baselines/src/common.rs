@@ -99,18 +99,23 @@ impl PacketLedger {
     /// nondeterministic, so entries are written sorted by packet id —
     /// snapshots of equal states must be byte-equal.
     pub fn write_state(&self, w: &mut StateWriter) {
-        let mut entries: Vec<(&PacketId, &u32)> = self.remaining.iter().collect();
+        let PacketLedger {
+            remaining,
+            held_per_input,
+            input_of,
+        } = self;
+        let mut entries: Vec<(&PacketId, &u32)> = remaining.iter().collect();
         entries.sort_unstable_by_key(|(id, _)| **id);
         w.put_usize(entries.len());
         for (id, rem) in entries {
             w.put_packet_id(*id);
             w.put_u32(*rem);
         }
-        w.put_usize(self.held_per_input.len());
-        for held in &self.held_per_input {
+        w.put_usize(held_per_input.len());
+        for held in held_per_input {
             w.put_usize(*held);
         }
-        let mut inputs: Vec<(&PacketId, &usize)> = self.input_of.iter().collect();
+        let mut inputs: Vec<(&PacketId, &usize)> = input_of.iter().collect();
         inputs.sort_unstable_by_key(|(id, _)| **id);
         w.put_usize(inputs.len());
         for (id, input) in inputs {
@@ -122,33 +127,36 @@ impl PacketLedger {
     /// Restore state captured by [`PacketLedger::write_state`] into a
     /// ledger configured for the same number of inputs.
     pub fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let remaining = r.get_usize()?;
-        self.remaining.clear();
-        self.remaining.reserve(remaining);
-        for _ in 0..remaining {
+        let PacketLedger {
+            remaining,
+            held_per_input,
+            input_of,
+        } = self;
+        let count = r.get_usize()?;
+        remaining.clear();
+        remaining.reserve(count);
+        for _ in 0..count {
             let id = r.get_packet_id()?;
-            let rem = r.get_u32()?;
-            self.remaining.insert(id, rem);
+            remaining.insert(id, r.get_u32()?);
         }
         let inputs_len = r.get_usize()?;
-        if inputs_len != self.held_per_input.len() {
+        if inputs_len != held_per_input.len() {
             return Err(StateError::Malformed {
                 what: format!(
                     "ledger has {} inputs, snapshot has {inputs_len}",
-                    self.held_per_input.len()
+                    held_per_input.len()
                 ),
             });
         }
-        for held in &mut self.held_per_input {
+        for held in held_per_input.iter_mut() {
             *held = r.get_usize()?;
         }
-        let input_of = r.get_usize()?;
-        self.input_of.clear();
-        self.input_of.reserve(input_of);
-        for _ in 0..input_of {
+        let count = r.get_usize()?;
+        input_of.clear();
+        input_of.reserve(count);
+        for _ in 0..count {
             let id = r.get_packet_id()?;
-            let input = r.get_usize()?;
-            self.input_of.insert(id, input);
+            input_of.insert(id, r.get_usize()?);
         }
         Ok(())
     }

@@ -174,33 +174,46 @@ impl Checkpoint for McFifoSwitch {
     }
 
     fn write_state(&self, w: &mut StateWriter) {
-        // `n` and `splitting` are configuration (rebuilt by the caller);
-        // the mutable state is the FIFO contents and the tie-break rng.
-        w.put_usize(self.fifos.len());
-        for fifo in &self.fifos {
+        let McFifoSwitch {
+            // Configuration, rebuilt by the caller.
+            n: _,
+            splitting: _,
+            fifos,
+            rng,
+        } = self;
+        w.put_usize(fifos.len());
+        for fifo in fifos {
             w.put_usize(fifo.len());
-            for cell in fifo {
-                w.put_packet_id(cell.packet);
-                w.put_slot(cell.arrival);
-                w.put_port_set(&cell.residue);
+            for FifoCell {
+                packet,
+                arrival,
+                residue,
+            } in fifo
+            {
+                w.put_packet_id(*packet);
+                w.put_slot(*arrival);
+                w.put_port_set(residue);
             }
         }
-        for word in self.rng.state() {
+        for word in rng.state() {
             w.put_u64(word);
         }
     }
 
     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let McFifoSwitch {
+            n: _,
+            splitting: _,
+            fifos,
+            rng,
+        } = self;
         let inputs = r.get_usize()?;
-        if inputs != self.fifos.len() {
+        if inputs != fifos.len() {
             return Err(StateError::Malformed {
-                what: format!(
-                    "switch has {} inputs, snapshot has {inputs}",
-                    self.fifos.len()
-                ),
+                what: format!("switch has {} inputs, snapshot has {inputs}", fifos.len()),
             });
         }
-        for fifo in &mut self.fifos {
+        for fifo in fifos.iter_mut() {
             let len = r.get_usize()?;
             fifo.clear();
             fifo.reserve(len);
@@ -212,8 +225,7 @@ impl Checkpoint for McFifoSwitch {
                 });
             }
         }
-        let rng = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
-        self.rng = SmallRng::from_state(rng);
+        *rng = SmallRng::from_state([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?]);
         Ok(())
     }
 }

@@ -119,29 +119,36 @@ impl Checkpoint for OqFifoSwitch {
     }
 
     fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.queues.len());
-        for queue in &self.queues {
+        let OqFifoSwitch { queues, ledger } = self;
+        w.put_usize(queues.len());
+        for queue in queues {
             w.put_usize(queue.len());
-            for copy in queue {
-                w.put_packet_id(copy.packet);
-                w.put_slot(copy.arrival);
-                w.put_port(copy.input);
+            for QueuedCopy {
+                packet,
+                arrival,
+                input,
+            } in queue
+            {
+                w.put_packet_id(*packet);
+                w.put_slot(*arrival);
+                w.put_port(*input);
             }
         }
-        self.ledger.write_state(w);
+        ledger.write_state(w);
     }
 
     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let OqFifoSwitch { queues, ledger } = self;
         let outputs = r.get_usize()?;
-        if outputs != self.queues.len() {
+        if outputs != queues.len() {
             return Err(StateError::Malformed {
                 what: format!(
                     "switch has {} outputs, snapshot has {outputs}",
-                    self.queues.len()
+                    queues.len()
                 ),
             });
         }
-        for queue in &mut self.queues {
+        for queue in queues.iter_mut() {
             let len = r.get_usize()?;
             queue.clear();
             queue.reserve(len);
@@ -153,7 +160,7 @@ impl Checkpoint for OqFifoSwitch {
                 });
             }
         }
-        self.ledger.read_state(r)
+        ledger.read_state(r)
     }
 }
 

@@ -67,7 +67,7 @@ pub struct Options {
     /// --write-baseline`).
     pub write_baseline: bool,
     /// Print the documentation for one lint rule and exit (`lint
-    /// --explain R8`).
+    /// --explain R10`).
     pub explain: Option<String>,
     /// Append a `fifoms-lint-stats-v1` rule-hit row to the results
     /// ledger (`lint --stats`).
@@ -643,9 +643,9 @@ mod tests {
 
     #[test]
     fn lint_flags() {
-        let (cmd, o) = parse(&argv("lint --explain R8")).unwrap();
+        let (cmd, o) = parse(&argv("lint --explain R10")).unwrap();
         assert_eq!(cmd, "lint");
-        assert_eq!(o.explain.as_deref(), Some("R8"));
+        assert_eq!(o.explain.as_deref(), Some("R10"));
         assert!(!o.stats);
 
         let (_, o) = parse(&argv("lint --stats --ledger results/l.jsonl")).unwrap();

@@ -120,13 +120,6 @@ pub fn lint(opts: &Options) -> Result<(), SimError> {
             counts.len(),
             report.findings.len()
         );
-        // Re-anchor the checkpoint-state fingerprint manifest alongside
-        // the baseline: R8 drift detection compares future runs to the
-        // fingerprints captured here.
-        let manifest = root.join(engine::STATE_MANIFEST_REL);
-        std::fs::write(&manifest, &report.state_manifest)
-            .map_err(|e| SimError::Usage(format!("{}: {e}", manifest.display())))?;
-        println!("lint: wrote {} (state fingerprints)", manifest.display());
         return Ok(());
     }
     finish(&report, &g)

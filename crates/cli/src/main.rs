@@ -108,13 +108,12 @@
 //!
 //! lint runs the fifoms-lint source disciplines (R1 determinism, R2
 //! timestamp preservation, R3 panic freedom, R4 event vocabulary, R5
-//! SAFETY/INVARIANT audit, R6 fingerprint floats, R8 checkpoint
-//! coverage, R9 schema drift, R10 guarded indexing) over the workspace
-//! and exits nonzero on any finding beyond the baseline:
+//! SAFETY/INVARIANT audit, R6 fingerprint floats, R9 schema drift, R10
+//! guarded indexing) over the workspace and exits nonzero on any finding
+//! beyond the baseline:
 //!   --baseline <PATH>    grandfathered-findings allowlist to gate against
 //!   --json <PATH>        write the fifoms-lint-v1 report (schema-checked)
-//!   --write-baseline     regenerate the baseline (and the R8 state
-//!                        fingerprint manifest) from current findings
+//!   --write-baseline     regenerate the baseline from current findings
 //!   --explain <RULE>     print one rule's documentation card and exit
 //!   --stats              append a fifoms-lint-stats-v1 rule-hit row to
 //!                        results/bench_ledger.jsonl (--ledger overrides)

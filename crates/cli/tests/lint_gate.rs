@@ -92,6 +92,10 @@ fn write_baseline_grandfathers_then_gate_passes() {
         String::from_utf8_lossy(&wrote.stderr)
     );
     assert!(ws.join("lint-baseline.json").is_file());
+    assert!(
+        !ws.join("lint-state-fingerprints.json").exists(),
+        "--write-baseline writes the baseline file only"
+    );
 
     let gated = repro_in(&ws, &["lint", "--baseline", "lint-baseline.json"]);
     let stdout = String::from_utf8_lossy(&gated.stdout);

@@ -206,67 +206,59 @@ impl DataCellSlab {
     /// restore that rebuilt the chain differently would hand out keys in
     /// a different order and diverge from the uninterrupted run.
     pub fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.entries.len());
-        for entry in &self.entries {
+        let DataCellSlab {
+            entries,
+            generations,
+            free_head,
+            live,
+        } = self;
+        w.put_usize(entries.len());
+        for entry in entries {
             match entry {
                 SlabEntry::Free(next) => {
                     w.put_u8(0);
-                    match next {
-                        Some(n) => {
-                            w.put_u8(1);
-                            w.put_u32(*n);
-                        }
-                        None => w.put_u8(0),
-                    }
+                    put_link(w, *next);
                 }
-                SlabEntry::Live(cell) => {
+                SlabEntry::Live(DataCell {
+                    packet,
+                    arrival,
+                    fanout_counter,
+                }) => {
                     w.put_u8(1);
-                    w.put_packet_id(cell.packet);
-                    w.put_slot(cell.arrival);
-                    w.put_u32(cell.fanout_counter);
+                    w.put_packet_id(*packet);
+                    w.put_slot(*arrival);
+                    w.put_u32(*fanout_counter);
                 }
             }
         }
-        for generation in &self.generations {
+        for generation in generations {
             w.put_u32(*generation);
         }
-        match self.free_head {
-            Some(n) => {
-                w.put_u8(1);
-                w.put_u32(n);
-            }
-            None => w.put_u8(0),
-        }
-        w.put_usize(self.live);
+        put_link(w, *free_head);
+        w.put_usize(*live);
     }
 
     /// Restore state captured by [`DataCellSlab::write_state`].
     pub fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let DataCellSlab {
+            entries,
+            generations,
+            free_head,
+            live,
+        } = self;
         let count = r.get_usize()?;
-        let mut entries = Vec::with_capacity(count);
-        let mut live = 0usize;
+        entries.clear();
+        let mut live_entries = 0usize;
         for _ in 0..count {
             match r.get_u8()? {
-                0 => {
-                    let next = match r.get_u8()? {
-                        0 => None,
-                        1 => Some(r.get_u32()?),
-                        b => {
-                            return Err(StateError::Malformed {
-                                what: format!("free-link tag {b}"),
-                            })
-                        }
-                    };
-                    entries.push(SlabEntry::Free(next));
-                }
+                0 => entries.push(SlabEntry::Free(get_link(r, "free-link")?)),
                 1 => {
-                    let cell = DataCell {
+                    entries.push(SlabEntry::Live(DataCell {
                         packet: r.get_packet_id()?,
                         arrival: r.get_slot()?,
                         fanout_counter: r.get_u32()?,
-                    };
-                    live += 1;
-                    entries.push(SlabEntry::Live(cell));
+                    }));
+                    live_entries += 1;
                 }
                 b => {
                     return Err(StateError::Malformed {
@@ -275,30 +267,41 @@ impl DataCellSlab {
                 }
             }
         }
-        let mut generations = Vec::with_capacity(count);
+        generations.clear();
         for _ in 0..count {
             generations.push(r.get_u32()?);
         }
-        let free_head = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_u32()?),
-            b => {
-                return Err(StateError::Malformed {
-                    what: format!("free-head tag {b}"),
-                })
-            }
-        };
+        *free_head = get_link(r, "free-head")?;
         let stored_live = r.get_usize()?;
-        if stored_live != live {
+        if stored_live != live_entries {
             return Err(StateError::Malformed {
-                what: format!("slab live count {stored_live} != {live} live entries"),
+                what: format!("slab live count {stored_live} != {live_entries} live entries"),
             });
         }
-        self.entries = entries;
-        self.generations = generations;
-        self.free_head = free_head;
-        self.live = live;
+        *live = live_entries;
         Ok(())
+    }
+}
+
+/// Write a free-list link as a presence byte plus the entry index.
+fn put_link(w: &mut StateWriter, link: Option<u32>) {
+    match link {
+        Some(n) => {
+            w.put_u8(1);
+            w.put_u32(n);
+        }
+        None => w.put_u8(0),
+    }
+}
+
+/// Read a link written by [`put_link`]; `what` names it in errors.
+fn get_link(r: &mut StateReader<'_>, what: &str) -> Result<Option<u32>, StateError> {
+    match r.get_u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.get_u32()?)),
+        b => Err(StateError::Malformed {
+            what: format!("{what} tag {b}"),
+        }),
     }
 }
 

@@ -397,77 +397,86 @@ impl Checkpoint for MulticastVoqSwitch {
         1
     }
 
-    // Serialised state is exactly the cross-slot mutable fields: per-port
-    // slab + VOQs, RNG cursor, scheduler rotation, crossbar accounting,
-    // fault scoreboard, and the undrained drop/event ledgers. The scratch
-    // buffers (`sched_out`, `spare_departures`, `spans`) hold nothing
-    // between slots, and `buffers`/`record_events`/`span_recording` are
-    // configuration the caller rebuilds before restoring.
     fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.ports.len());
-        for port in &self.ports {
+        let Self {
+            ports,
+            scheduler,
+            crossbar,
+            rng,
+            scoreboard,
+            admission_drops,
+            events,
+            // Configuration the caller rebuilds before restoring.
+            buffers: _,
+            record_events: _,
+            span_recording: _,
+            // Scratch that holds nothing between slots.
+            sched_out: _,
+            spare_departures: _,
+            spans: _,
+        } = self;
+        w.put_usize(ports.len());
+        for port in ports {
             port.slab().write_state(w);
             port.voqs().write_state(w);
         }
-        for word in self.rng.state() {
+        for word in rng.state() {
             w.put_u64(word);
         }
-        w.put_usize(self.scheduler.rotate());
-        let fs = self.crossbar.stats();
-        w.put_u64(fs.slots);
-        w.put_u64(fs.crosspoints_set);
-        w.put_u64(fs.multicast_slots);
-        w.put_u64(fs.multicast_connections);
-        w.put_u64(fs.idle_slots);
-        self.scoreboard.write_state(w);
-        w.put_usize(self.admission_drops.len());
-        for drop in &self.admission_drops {
+        w.put_usize(scheduler.rotate());
+        crossbar.write_state(w);
+        scoreboard.write_state(w);
+        w.put_usize(admission_drops.len());
+        for drop in admission_drops {
             put_admission_drop(w, drop);
         }
-        w.put_usize(self.events.len());
-        for event in &self.events {
+        w.put_usize(events.len());
+        for event in events {
             put_obs_event(w, event);
         }
     }
 
     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let Self {
+            ports,
+            scheduler,
+            crossbar,
+            rng,
+            scoreboard,
+            admission_drops,
+            events,
+            buffers: _,
+            record_events: _,
+            span_recording: _,
+            sched_out: _,
+            spare_departures: _,
+            spans: _,
+        } = self;
         let n = r.get_usize()?;
-        if n != self.ports.len() {
+        if n != ports.len() {
             return Err(StateError::Malformed {
-                what: format!("switch has {} ports, snapshot has {n}", self.ports.len()),
+                what: format!("switch has {} ports, snapshot has {n}", ports.len()),
             });
         }
-        for port in &mut self.ports {
+        for port in ports.iter_mut() {
             port.slab_mut().read_state(r)?;
             port.voqs_mut().read_state(r)?;
         }
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.get_u64()?;
-        }
-        self.rng = SmallRng::from_state(rng_state);
-        let rotate = r.get_usize()?;
-        self.scheduler.restore_rotate(rotate);
-        let fs = fifoms_fabric::FabricStats {
-            slots: r.get_u64()?,
-            crosspoints_set: r.get_u64()?,
-            multicast_slots: r.get_u64()?,
-            multicast_connections: r.get_u64()?,
-            idle_slots: r.get_u64()?,
-        };
-        self.crossbar.restore_stats(fs);
-        self.scoreboard.read_state(r)?;
+        *rng = SmallRng::from_state([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?]);
+        scheduler.restore_rotate(r.get_usize()?);
+        crossbar.read_state(r)?;
+        scoreboard.read_state(r)?;
         let drops = r.get_usize()?;
-        self.admission_drops.clear();
-        self.admission_drops.reserve(drops);
+        admission_drops.clear();
+        admission_drops.reserve(drops);
         for _ in 0..drops {
-            self.admission_drops.push(get_admission_drop(r)?);
+            admission_drops.push(get_admission_drop(r)?);
         }
-        let events = r.get_usize()?;
-        self.events.clear();
-        self.events.reserve(events);
-        for _ in 0..events {
-            self.events.push(get_obs_event(r)?);
+        let count = r.get_usize()?;
+        events.clear();
+        events.reserve(count);
+        for _ in 0..count {
+            events.push(get_obs_event(r)?);
         }
         Ok(())
     }

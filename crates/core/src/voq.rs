@@ -424,16 +424,35 @@ impl VoqSet {
     /// The cells are derived from the packet list, so the bytes are those
     /// of an explicit per-output FIFO of address cells.
     pub fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.queues.len());
-        for (o, q) in self.queues.iter().enumerate() {
-            w.put_usize(q.len);
+        let VoqSet {
+            queues,
+            // Written as each queue's cells, read through `cells`.
+            packets: _,
+            // Derived from the cells; `read_state` rebuilds them.
+            base: _,
+            total: _,
+            dead: _,
+            occupied: _,
+            // Scratch for `serve`.
+            rehead: _,
+        } = self;
+        w.put_usize(queues.len());
+        for (o, q) in queues.iter().enumerate() {
+            let Voq {
+                len,
+                // Derived from the cells, like the set's own positions.
+                head: _,
+                high_water_latched,
+                pending_high_water,
+            } = q;
+            w.put_usize(*len);
             for cell in self.cells(PortId::new(o)) {
                 w.put_slot(cell.time_stamp);
                 w.put_u32(cell.data.index);
                 w.put_u32(cell.data.generation);
             }
-            w.put_bool(q.high_water_latched);
-            w.put_opt_u64(q.pending_high_water.map(|d| d as u64));
+            w.put_bool(*high_water_latched);
+            w.put_opt_u64(pending_high_water.map(|d| d as u64));
         }
     }
 
@@ -441,16 +460,25 @@ impl VoqSet {
     /// packet list from the per-output cells. The queue count must match
     /// this set's configured `N`.
     pub fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let VoqSet {
+            queues,
+            packets,
+            base,
+            total,
+            dead,
+            occupied,
+            rehead,
+        } = self;
         let malformed = |what: String| StateError::Malformed { what };
         let count = r.get_usize()?;
-        if count != self.queues.len() {
+        if count != queues.len() {
             return Err(malformed(format!(
                 "VOQ set has {} queues, snapshot has {count}",
-                self.queues.len()
+                queues.len()
             )));
         }
         let mut cells: Vec<(Slot, DataCellKey, PortId)> = Vec::new();
-        let mut queues = Vec::with_capacity(count);
+        queues.clear();
         for o in 0..count {
             let len = r.get_usize()?;
             let mut last = None;
@@ -482,7 +510,7 @@ impl VoqSet {
         }
         // Stable by stamp, so equal-stamp cells keep their queue order.
         cells.sort_by_key(|&(stamp, _, _)| stamp);
-        let mut packets: VecDeque<QueuedPacket> = VecDeque::new();
+        packets.clear();
         for (stamp, key, o) in cells {
             let same = packets
                 .iter_mut()
@@ -502,19 +530,17 @@ impl VoqSet {
                 }),
             }
         }
-        self.total = queues.iter().map(Voq::len).sum();
-        self.dead = 0;
-        self.occupied = queues
+        *total = queues.iter().map(Voq::len).sum();
+        *dead = 0;
+        *occupied = queues
             .iter()
             .enumerate()
             .filter(|(_, q)| !q.is_empty())
             .map(|(o, _)| o)
             .collect();
-        self.queues = queues;
-        self.packets = packets;
-        self.base = 0;
-        self.rehead.clear();
-        self.rehead.union_with(&self.occupied);
+        *base = 0;
+        rehead.clear();
+        rehead.union_with(occupied);
         self.locate_heads(0);
         Ok(())
     }

@@ -456,78 +456,106 @@ impl<S: Switch> Checkpoint for CheckedSwitch<S> {
         "checked-switch"
     }
 
-    // Own state only (the wrapped switch's blob travels alongside via
-    // `save_layer_state`): the residual-fanout ledger, the copy counters, the
-    // undrained drop buffers, and the sticky violation. `check_every` and
-    // `capacity` are configuration.
     fn write_state(&self, w: &mut StateWriter) {
+        let CheckedSwitch {
+            // Saved alongside by `save_layer_state`.
+            inner: _,
+            // Configuration, rebuilt by the caller.
+            check_every: _,
+            capacity: _,
+            in_flight,
+            admitted_copies,
+            delivered_copies,
+            reconciled_copies,
+            drops,
+            admission_dropped_copies,
+            admission_drops,
+            slots_checked,
+            violation,
+            violation_reported,
+        } = self;
         // HashMap iteration order is nondeterministic; snapshots of equal
         // states must be byte-equal, so write entries sorted by packet id.
         // fifoms-lint: allow(R1) collected then sorted by key before any emission
-        let mut entries: Vec<(&PacketId, &Tracked)> = self.in_flight.iter().collect();
+        let mut entries: Vec<(&PacketId, &Tracked)> = in_flight.iter().collect();
         entries.sort_unstable_by_key(|(id, _)| **id);
         w.put_usize(entries.len());
-        for (id, tracked) in entries {
+        for (id, Tracked { requested, served }) in entries {
             w.put_packet_id(*id);
-            w.put_port_set(&tracked.requested);
-            w.put_port_set(&tracked.served);
+            w.put_port_set(requested);
+            w.put_port_set(served);
         }
-        w.put_u64(self.admitted_copies);
-        w.put_u64(self.delivered_copies);
-        w.put_u64(self.reconciled_copies);
-        w.put_usize(self.drops.len());
-        for d in &self.drops {
+        w.put_u64(*admitted_copies);
+        w.put_u64(*delivered_copies);
+        w.put_u64(*reconciled_copies);
+        w.put_usize(drops.len());
+        for d in drops {
             put_dropped_copy(w, d);
         }
-        w.put_u64(self.admission_dropped_copies);
-        w.put_usize(self.admission_drops.len());
-        for d in &self.admission_drops {
+        w.put_u64(*admission_dropped_copies);
+        w.put_usize(admission_drops.len());
+        for d in admission_drops {
             put_admission_drop(w, d);
         }
-        w.put_u64(self.slots_checked);
-        match &self.violation {
+        w.put_u64(*slots_checked);
+        match violation {
             None => w.put_bool(false),
             Some(v) => {
                 w.put_bool(true);
                 put_violation(w, v);
             }
         }
-        w.put_bool(self.violation_reported);
+        w.put_bool(*violation_reported);
     }
 
     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let tracked = r.get_usize()?;
-        self.in_flight.clear();
-        self.in_flight.reserve(tracked);
-        for _ in 0..tracked {
+        let CheckedSwitch {
+            inner: _,
+            check_every: _,
+            capacity: _,
+            in_flight,
+            admitted_copies,
+            delivered_copies,
+            reconciled_copies,
+            drops,
+            admission_dropped_copies,
+            admission_drops,
+            slots_checked,
+            violation,
+            violation_reported,
+        } = self;
+        let count = r.get_usize()?;
+        in_flight.clear();
+        in_flight.reserve(count);
+        for _ in 0..count {
             let id = r.get_packet_id()?;
             let requested = r.get_port_set()?;
             let served = r.get_port_set()?;
-            self.in_flight.insert(id, Tracked { requested, served });
+            in_flight.insert(id, Tracked { requested, served });
         }
-        self.admitted_copies = r.get_u64()?;
-        self.delivered_copies = r.get_u64()?;
-        self.reconciled_copies = r.get_u64()?;
-        let drops = r.get_usize()?;
-        self.drops.clear();
-        self.drops.reserve(drops);
-        for _ in 0..drops {
-            self.drops.push(get_dropped_copy(r)?);
+        *admitted_copies = r.get_u64()?;
+        *delivered_copies = r.get_u64()?;
+        *reconciled_copies = r.get_u64()?;
+        let count = r.get_usize()?;
+        drops.clear();
+        drops.reserve(count);
+        for _ in 0..count {
+            drops.push(get_dropped_copy(r)?);
         }
-        self.admission_dropped_copies = r.get_u64()?;
-        let admission_drops = r.get_usize()?;
-        self.admission_drops.clear();
-        self.admission_drops.reserve(admission_drops);
-        for _ in 0..admission_drops {
-            self.admission_drops.push(get_admission_drop(r)?);
+        *admission_dropped_copies = r.get_u64()?;
+        let count = r.get_usize()?;
+        admission_drops.clear();
+        admission_drops.reserve(count);
+        for _ in 0..count {
+            admission_drops.push(get_admission_drop(r)?);
         }
-        self.slots_checked = r.get_u64()?;
-        self.violation = if r.get_bool()? {
+        *slots_checked = r.get_u64()?;
+        *violation = if r.get_bool()? {
             Some(get_violation(r)?)
         } else {
             None
         };
-        self.violation_reported = r.get_bool()?;
+        *violation_reported = r.get_bool()?;
         Ok(())
     }
 }

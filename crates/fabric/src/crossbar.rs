@@ -1,5 +1,7 @@
 //! The crossbar fabric: applies schedules and keeps usage accounting.
 
+use fifoms_types::{StateError, StateReader, StateWriter};
+
 use crate::CrossbarSchedule;
 
 /// Cumulative fabric usage statistics.
@@ -122,10 +124,57 @@ impl Crossbar {
         self.stats = FabricStats::default();
     }
 
-    /// Replace the accumulated statistics (checkpoint restore — the
-    /// crossbar holds no other mutable state).
-    pub fn restore_stats(&mut self, stats: FabricStats) {
-        self.stats = stats;
+    /// Serialise the accumulated statistics, the crossbar's only
+    /// cross-slot state.
+    pub fn write_state(&self, w: &mut StateWriter) {
+        let Crossbar {
+            n: _,
+            stats,
+            // Scratch for the slot being applied.
+            fanout: _,
+        } = self;
+        let FabricStats {
+            slots,
+            crosspoints_set,
+            multicast_slots,
+            multicast_connections,
+            idle_slots,
+        } = *stats;
+        for v in [
+            slots,
+            crosspoints_set,
+            multicast_slots,
+            multicast_connections,
+            idle_slots,
+        ] {
+            w.put_u64(v);
+        }
+    }
+
+    /// Restore state captured by [`Crossbar::write_state`].
+    pub fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let Crossbar {
+            n: _,
+            stats,
+            fanout: _,
+        } = self;
+        let FabricStats {
+            slots,
+            crosspoints_set,
+            multicast_slots,
+            multicast_connections,
+            idle_slots,
+        } = stats;
+        for v in [
+            slots,
+            crosspoints_set,
+            multicast_slots,
+            multicast_connections,
+            idle_slots,
+        ] {
+            *v = r.get_u64()?;
+        }
+        Ok(())
     }
 }
 

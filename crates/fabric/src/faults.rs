@@ -166,6 +166,32 @@ pub struct FaultStats {
     pub copies_recovered: u64,
 }
 
+impl FaultStats {
+    /// Every counter, in checkpoint order.
+    fn counters_mut(&mut self) -> [&mut u64; 8] {
+        let FaultStats {
+            packets_offered,
+            packets_dropped,
+            packets_trimmed,
+            copies_dropped,
+            copies_killed,
+            copies_requeued,
+            copies_lost,
+            copies_recovered,
+        } = self;
+        [
+            packets_offered,
+            packets_dropped,
+            packets_trimmed,
+            copies_dropped,
+            copies_killed,
+            copies_requeued,
+            copies_lost,
+            copies_recovered,
+        ]
+    }
+}
+
 /// Retry bookkeeping for one in-flight copy (keyed `(packet, output)`).
 #[derive(Clone, Copy, Debug)]
 struct RetryState {
@@ -475,75 +501,81 @@ impl<S: Switch> Checkpoint for FaultyFabric<S> {
         "faulty-fabric"
     }
 
-    // Own state only: the fault tally, pending events, the per-copy retry
-    // scoreboard, and the undrained reconciled-drop ledger. The fault
-    // timeline itself (`config`, `crosspoints`) is a pure function of the
-    // configuration and is rebuilt by the caller, as is the
-    // `record_events` observability toggle.
     fn write_state(&self, w: &mut StateWriter) {
-        w.put_u64(self.stats.packets_offered);
-        w.put_u64(self.stats.packets_dropped);
-        w.put_u64(self.stats.packets_trimmed);
-        w.put_u64(self.stats.copies_dropped);
-        w.put_u64(self.stats.copies_killed);
-        w.put_u64(self.stats.copies_requeued);
-        w.put_u64(self.stats.copies_lost);
-        w.put_u64(self.stats.copies_recovered);
-        w.put_usize(self.events.len());
-        for e in &self.events {
+        let FaultyFabric {
+            // Saved alongside by `save_layer_state`.
+            inner: _,
+            // The fault timeline is a pure function of the configuration,
+            // which the caller rebuilds along with the event toggle.
+            config: _,
+            crosspoints: _,
+            record_events: _,
+            stats,
+            events,
+            retries,
+            drops,
+        } = self;
+        let mut tally = *stats;
+        for v in tally.counters_mut() {
+            w.put_u64(*v);
+        }
+        w.put_usize(events.len());
+        for e in events {
             put_obs_event(w, e);
         }
         // HashMap iteration order is nondeterministic: sort by key so
         // equal states snapshot to equal bytes.
         // fifoms-lint: allow(R1) collected then sorted by key before any emission
-        let mut retry_entries: Vec<_> = self.retries.iter().collect();
+        let mut retry_entries: Vec<_> = retries.iter().collect();
         retry_entries.sort_unstable_by_key(|(k, _)| **k);
         w.put_usize(retry_entries.len());
-        for ((packet, output), state) in retry_entries {
+        for ((packet, output), RetryState { kills, first_kill }) in retry_entries {
             w.put_packet_id(*packet);
             w.put_port(*output);
-            w.put_u32(state.kills);
-            w.put_slot(state.first_kill);
+            w.put_u32(*kills);
+            w.put_slot(*first_kill);
         }
-        w.put_usize(self.drops.len());
-        for d in &self.drops {
+        w.put_usize(drops.len());
+        for d in drops {
             put_dropped_copy(w, d);
         }
     }
 
     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.stats = FaultStats {
-            packets_offered: r.get_u64()?,
-            packets_dropped: r.get_u64()?,
-            packets_trimmed: r.get_u64()?,
-            copies_dropped: r.get_u64()?,
-            copies_killed: r.get_u64()?,
-            copies_requeued: r.get_u64()?,
-            copies_lost: r.get_u64()?,
-            copies_recovered: r.get_u64()?,
-        };
-        let events = r.get_usize()?;
-        self.events.clear();
-        self.events.reserve(events);
-        for _ in 0..events {
-            self.events.push(get_obs_event(r)?);
+        let FaultyFabric {
+            inner: _,
+            config: _,
+            crosspoints: _,
+            record_events: _,
+            stats,
+            events,
+            retries,
+            drops,
+        } = self;
+        for v in stats.counters_mut() {
+            *v = r.get_u64()?;
         }
-        let retries = r.get_usize()?;
-        self.retries.clear();
-        self.retries.reserve(retries);
-        for _ in 0..retries {
+        let count = r.get_usize()?;
+        events.clear();
+        events.reserve(count);
+        for _ in 0..count {
+            events.push(get_obs_event(r)?);
+        }
+        let count = r.get_usize()?;
+        retries.clear();
+        retries.reserve(count);
+        for _ in 0..count {
             let packet = r.get_packet_id()?;
             let output = r.get_port()?;
             let kills = r.get_u32()?;
             let first_kill = r.get_slot()?;
-            self.retries
-                .insert((packet, output), RetryState { kills, first_kill });
+            retries.insert((packet, output), RetryState { kills, first_kill });
         }
-        let drops = r.get_usize()?;
-        self.drops.clear();
-        self.drops.reserve(drops);
-        for _ in 0..drops {
-            self.drops.push(get_dropped_copy(r)?);
+        let count = r.get_usize()?;
+        drops.clear();
+        drops.reserve(count);
+        for _ in 0..count {
+            drops.push(get_dropped_copy(r)?);
         }
         Ok(())
     }

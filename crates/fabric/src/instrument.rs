@@ -327,55 +327,72 @@ impl<S: Switch> Checkpoint for InstrumentedSwitch<S> {
         "instrumented-switch"
     }
 
-    // Own state only: pending events, the starvation ledger, the set of
-    // packets currently followed through the sampling gate, and the
-    // flight-recorder ring. `mode` is configuration and `scratch` holds
-    // nothing between slots. BTreeSet iteration is already ordered, so
-    // snapshots of equal states are byte-equal without extra sorting.
+    // BTreeSet iteration is already ordered, so snapshots of equal states
+    // are byte-equal without extra sorting.
     fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.events.len());
-        for e in &self.events {
+        let InstrumentedSwitch {
+            // Saved alongside by `save_layer_state`.
+            inner: _,
+            events,
+            ledger,
+            // Holds nothing between slots.
+            scratch: _,
+            // Configuration, rebuilt by the caller.
+            mode: _,
+            sampled,
+            ring,
+        } = self;
+        w.put_usize(events.len());
+        for e in events {
             put_obs_event(w, e);
         }
-        w.put_usize(self.ledger.len());
-        for (arrival, id) in &self.ledger {
+        w.put_usize(ledger.len());
+        for (arrival, id) in ledger {
             w.put_slot(*arrival);
             w.put_packet_id(*id);
         }
-        w.put_usize(self.sampled.len());
-        for id in &self.sampled {
+        w.put_usize(sampled.len());
+        for id in sampled {
             w.put_packet_id(*id);
         }
-        w.put_usize(self.ring.len());
-        for e in &self.ring {
+        w.put_usize(ring.len());
+        for e in ring {
             put_obs_event(w, e);
         }
     }
 
     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let events = r.get_usize()?;
-        self.events.clear();
-        self.events.reserve(events);
-        for _ in 0..events {
-            self.events.push(get_obs_event(r)?);
+        let InstrumentedSwitch {
+            inner: _,
+            events,
+            ledger,
+            scratch: _,
+            mode: _,
+            sampled,
+            ring,
+        } = self;
+        let count = r.get_usize()?;
+        events.clear();
+        events.reserve(count);
+        for _ in 0..count {
+            events.push(get_obs_event(r)?);
         }
-        let ledger = r.get_usize()?;
-        self.ledger.clear();
-        for _ in 0..ledger {
+        let count = r.get_usize()?;
+        ledger.clear();
+        for _ in 0..count {
             let arrival = r.get_slot()?;
-            let id = r.get_packet_id()?;
-            self.ledger.insert((arrival, id));
+            ledger.insert((arrival, r.get_packet_id()?));
         }
-        let sampled = r.get_usize()?;
-        self.sampled.clear();
-        for _ in 0..sampled {
-            self.sampled.insert(r.get_packet_id()?);
+        let count = r.get_usize()?;
+        sampled.clear();
+        for _ in 0..count {
+            sampled.insert(r.get_packet_id()?);
         }
-        let ring = r.get_usize()?;
-        self.ring.clear();
-        self.ring.reserve(ring);
-        for _ in 0..ring {
-            self.ring.push_back(get_obs_event(r)?);
+        let count = r.get_usize()?;
+        ring.clear();
+        ring.reserve(count);
+        for _ in 0..count {
+            ring.push_back(get_obs_event(r)?);
         }
         Ok(())
     }

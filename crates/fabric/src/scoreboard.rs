@@ -101,42 +101,50 @@ impl FaultScoreboard {
     /// whether the scheduler consults the scoreboard at all, so dropping
     /// expired marks on restore would change the schedule path taken.
     pub fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.last_failure.len());
-        for mark in &self.last_failure {
+        let FaultScoreboard {
+            // Configuration, rebuilt by the caller.
+            ports: _,
+            quarantine: _,
+            last_failure,
+            marks,
+        } = self;
+        w.put_usize(last_failure.len());
+        for mark in last_failure {
             w.put_opt_u64(mark.map(|s| s.0));
         }
-        w.put_usize(self.marks);
+        w.put_usize(*marks);
     }
 
     /// Restore state captured by [`FaultScoreboard::write_state`] into a
     /// scoreboard configured with the same `n` and quarantine window.
     pub fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let FaultScoreboard {
+            ports: _,
+            quarantine: _,
+            last_failure,
+            marks,
+        } = self;
         let count = r.get_usize()?;
-        if count != self.last_failure.len() {
+        if count != last_failure.len() {
             return Err(StateError::Malformed {
                 what: format!(
                     "scoreboard has {} paths, snapshot has {count}",
-                    self.last_failure.len()
+                    last_failure.len()
                 ),
             });
         }
-        let mut marks = 0usize;
-        let mut last_failure = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mark = r.get_opt_u64()?.map(Slot);
-            if mark.is_some() {
-                marks += 1;
-            }
-            last_failure.push(mark);
+        let mut set = 0usize;
+        for mark in last_failure.iter_mut() {
+            *mark = r.get_opt_u64()?.map(Slot);
+            set += usize::from(mark.is_some());
         }
         let stored_marks = r.get_usize()?;
-        if stored_marks != marks {
+        if stored_marks != set {
             return Err(StateError::Malformed {
-                what: format!("scoreboard mark count {stored_marks} != {marks} marks"),
+                what: format!("scoreboard mark count {stored_marks} != {set} marks"),
             });
         }
-        self.last_failure = last_failure;
-        self.marks = marks;
+        *marks = set;
         Ok(())
     }
 

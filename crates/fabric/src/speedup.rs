@@ -8,6 +8,8 @@
 //! arrivals into output queues); the ablation benches sweep intermediate
 //! speedups to show the OQ hardware cost the paper argues against.
 
+use fifoms_types::{StateError, StateReader, StateWriter};
+
 use crate::{Crossbar, CrossbarSchedule, FabricStats};
 
 /// An `N×N` crossbar with internal speedup `S`.
@@ -88,34 +90,31 @@ impl SpeedupFabric {
     /// Serialise the fabric's mutable state (checkpoints are taken at
     /// slot boundaries, so the mid-slot `phase` cursor is captured too for
     /// safety even though it is 0 between `finish_slot` calls).
-    pub fn write_state(&self, w: &mut fifoms_types::StateWriter) {
-        w.put_usize(self.phase);
-        w.put_u64(self.phase_slots);
-        let fs = self.inner.stats();
-        w.put_u64(fs.slots);
-        w.put_u64(fs.crosspoints_set);
-        w.put_u64(fs.multicast_slots);
-        w.put_u64(fs.multicast_connections);
-        w.put_u64(fs.idle_slots);
+    pub fn write_state(&self, w: &mut StateWriter) {
+        let SpeedupFabric {
+            inner,
+            // Configuration, rebuilt by the caller.
+            speedup: _,
+            phase,
+            phase_slots,
+        } = self;
+        w.put_usize(*phase);
+        w.put_u64(*phase_slots);
+        inner.write_state(w);
     }
 
     /// Restore state captured by [`SpeedupFabric::write_state`] into a
     /// fabric configured with the same `n` and speedup.
-    pub fn read_state(
-        &mut self,
-        r: &mut fifoms_types::StateReader<'_>,
-    ) -> Result<(), fifoms_types::StateError> {
-        self.phase = r.get_usize()?;
-        self.phase_slots = r.get_u64()?;
-        let fs = FabricStats {
-            slots: r.get_u64()?,
-            crosspoints_set: r.get_u64()?,
-            multicast_slots: r.get_u64()?,
-            multicast_connections: r.get_u64()?,
-            idle_slots: r.get_u64()?,
-        };
-        self.inner.restore_stats(fs);
-        Ok(())
+    pub fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let SpeedupFabric {
+            inner,
+            speedup: _,
+            phase,
+            phase_slots,
+        } = self;
+        *phase = r.get_usize()?;
+        *phase_slots = r.get_u64()?;
+        inner.read_state(r)
     }
 
     /// Mean transfers per *external* slot.

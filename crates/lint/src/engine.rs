@@ -18,13 +18,7 @@ use std::path::{Path, PathBuf};
 use fifoms_obs::Json;
 
 use crate::matcher::Matcher;
-use crate::model::Program;
-use crate::rules::{check_file, check_vocabulary, Finding, RULES};
-use crate::structural;
-
-/// Workspace-relative path of the checkpoint fingerprint manifest the
-/// R8 drift check reads and `--write-baseline` regenerates.
-pub const STATE_MANIFEST_REL: &str = "lint-state-fingerprints.json";
+use crate::rules::{check_file, check_vocabulary, r9_schema_drift, Finding, RULES};
 
 /// The outcome of linting a workspace.
 pub struct Report {
@@ -32,10 +26,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// The regenerated checkpoint fingerprint manifest
-    /// (`fifoms-lint-state-v1`), ratchet-merged against the committed
-    /// one — what `--write-baseline` writes to [`STATE_MANIFEST_REL`].
-    pub state_manifest: String,
 }
 
 /// A `(rule, path, key) -> count` aggregation of findings.
@@ -75,7 +65,7 @@ pub fn lint_root(root: &Path) -> Result<Report, String> {
     files.sort();
 
     // Read everything once: the per-file rules and the cross-file
-    // program model both run over the same contents.
+    // schema checks run over the same contents.
     let mut sources: Vec<(String, String)> = Vec::new();
     for path in &files {
         let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -87,27 +77,6 @@ pub fn lint_root(root: &Path) -> Result<Report, String> {
         let m = Matcher::new(text);
         findings.extend(check_file(rel, &m));
     }
-
-    // The structural rules run over the whole-workspace program model.
-    let program = Program::build(sources.clone());
-    findings.extend(structural::r8_checkpoint_coverage(&program));
-    let manifest_path = root.join(STATE_MANIFEST_REL);
-    let old_manifest = if manifest_path.is_file() {
-        let text = fs::read_to_string(&manifest_path)
-            .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
-        Some(
-            Json::parse(&text).map_err(|e| format!("{}: {e}", manifest_path.display()))?,
-        )
-    } else {
-        None
-    };
-    findings.extend(structural::r8_state_drift(
-        &program,
-        STATE_MANIFEST_REL,
-        old_manifest.as_ref(),
-    ));
-    let state_manifest =
-        structural::render_state_manifest(&structural::state_entries(&program), old_manifest.as_ref());
 
     // R4: event vocabulary, when both sides exist.
     let obs_rel = "crates/types/src/obs.rs";
@@ -154,7 +123,7 @@ pub fn lint_root(root: &Path) -> Result<Report, String> {
         if let Some(snap) = &snap_schema {
             derived.push(("schemas/snapshot.schema.json", snap));
         }
-        findings.extend(structural::r9_schema_drift(
+        findings.extend(r9_schema_drift(
             obs_src,
             (tele_rel, tele_src),
             ("schemas/timeseries.schema.json", ts),
@@ -169,7 +138,6 @@ pub fn lint_root(root: &Path) -> Result<Report, String> {
     Ok(Report {
         findings,
         files_scanned: files.len(),
-        state_manifest,
     })
 }
 
@@ -375,7 +343,6 @@ mod tests {
                 finding("R1", "b.rs", "m . keys ( )", 3),
             ],
             files_scanned: 2,
-            state_manifest: String::new(),
         };
         let baseline = key_counts(&[finding("R3", "a.rs", "q [ i ]", 1)]);
         let g = gate(&report, &baseline);
@@ -389,7 +356,6 @@ mod tests {
         let report = Report {
             findings: vec![],
             files_scanned: 1,
-            state_manifest: String::new(),
         };
         let baseline = key_counts(&[finding("R3", "a.rs", "x", 1)]);
         let g = gate(&report, &baseline);

@@ -19,15 +19,11 @@
 //! * [`matcher`] — a token-tree matcher: balanced-delimiter spans,
 //!   top-level argument splitting, `#[cfg(test)]` / `debug_assert!` span
 //!   exclusion, and the `// fifoms-lint: allow(Rk) reason` escape hatch.
-//! * [`parser`] + [`ast`] — a recursive-descent, total (never-panicking)
-//!   item-level parser over the token stream: structs with fields and
-//!   impl blocks with per-method body spans.
-//! * [`model`] — the cross-file [`model::Program`]: every workspace
-//!   file's AST, with struct lookup across crate boundaries.
-//! * [`rules`] — the token-level disciplines (see [`rules::RULES`] and
-//!   DESIGN.md §11), including the R10 guarded-index dataflow pass.
-//! * [`structural`] — the program-model disciplines: R8 checkpoint
-//!   field coverage + state fingerprints, R9 schema drift.
+//! * [`rules`] — the disciplines (see [`rules::RULES`] and DESIGN.md
+//!   §11): the per-file token rules, including the R10 guarded-index
+//!   dataflow pass, and the R4/R9 vocabulary and schema-drift checks.
+//!   R7 and R8 are retired; the type system now enforces what they
+//!   checked (DESIGN.md §16).
 //! * [`engine`] — the workspace walker, the baseline ratchet
 //!   (grandfathered findings fail only when they *grow*; shrinks are
 //!   celebrated), and the `fifoms-lint-v1` JSON report consumed by
@@ -38,18 +34,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
 pub mod engine;
 pub mod lexer;
 pub mod matcher;
-pub mod model;
-pub mod parser;
 pub mod rules;
-pub mod structural;
 
 pub use engine::{
     gate, key_counts, lint_root, parse_baseline, render_baseline, render_json, Gate, Report,
 };
-pub use model::Program;
 pub use rules::{Finding, RULES, RULE_DOCS};
-pub use structural::{render_state_manifest, state_entries, StateEntry};

@@ -27,6 +27,11 @@
 //!   journal's grid-hash identity must not format floating-point values
 //!   except through `to_bits()`: `0.30000000000000004` and platform
 //!   formatting differences would silently fork resume identities.
+//! * **R9 schema drift** — derived event schemas must stay in lock-step
+//!   with their emitters in *both* directions: the timeseries schema's
+//!   `event` enum equals the set of kinds the telemetry layer
+//!   constructs, and every derived schema's `schema` id constant is a
+//!   string the obs crate actually emits.
 //! * **R10 guarded indexing** — `x[i]` in hot-path code must be
 //!   *discharged*: dominated by a `len` bound check (`assert!`/
 //!   `debug_assert!`/`if`) in the same function, or fed by a checked
@@ -34,8 +39,12 @@
 //!   findings. (R10 took over indexing from R3 once the intra-function
 //!   dataflow pass could tell a proven bound from a hopeful one.)
 //!
-//! The cross-file structural rules R8–R9 live in
-//! [`structural`](crate::structural).
+//! R7 and R8 are retired and their ids stay unused: the `Layer` trait
+//! makes wrapper forwarding hold by construction, and every checkpoint
+//! codec destructures its struct, so the compiler checks field coverage
+//! and `tests/checkpoint_layout.rs` pins the bytes.
+
+use fifoms_obs::Json;
 
 use crate::lexer::{is_float_literal, TokKind};
 use crate::matcher::Matcher;
@@ -65,7 +74,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
     ("R4", "event-vocabulary", "ObsEvent kinds and schemas/events.schema.json agree in both directions"),
     ("R5", "justification-audit", "every unsafe block has SAFETY:, every INVARIANT: tag a justification"),
     ("R6", "fingerprint-floats", "grid-hash fingerprint code formats floats only via to_bits()"),
-    ("R8", "checkpoint-coverage", "Checkpoint impls cover every struct field both ways; field changes need a state_version bump"),
     ("R9", "schema-drift", "derived schemas match their emitters bidirectionally and every schema id is emitted somewhere"),
     ("R10", "guarded-index", "hot-path slice indexing is dominated by a len check or fed by a checked accessor"),
 ];
@@ -108,12 +116,6 @@ pub const RULE_DOCS: &[(&str, &str, &str, &str)] = &[
         "Checkpoint identity hashes cover formatted parameter values. Decimal float formatting differs across platforms and rounds (0.30000000000000004), silently forking resume identities; to_bits() is exact.",
         "h.write_str(&format!(\"load={load}\"));   // inside grid_hash",
         "format `load.to_bits()` instead; mark additional identity functions with a `// FINGERPRINT` comment",
-    ),
-    (
-        "R8",
-        "A Checkpoint impl that skips a field diverges silently on recovery (PR 9's bit-identity promise). A field-list change without a state_version bump misreads old checkpoints. Fields typed by a generic parameter travel in their own frame; comment-documented exclusions are honored.",
-        "fn read_state(..) { self.rng = r.u64()?; /* scoreboard never restored */ }",
-        "serialize the field, name it in a comment inside the impl (documented exclusion), or bump state_version and re-run --write-baseline for field changes",
     ),
     (
         "R9",
@@ -746,11 +748,9 @@ pub fn check_vocabulary(
     out
 }
 
-/// Event kinds = string literals inside `fn kind(...) -> ... { ... }`
-/// of the observability vocabulary source, with their source lines.
-fn event_kinds(obs_src: &str) -> Vec<(String, usize)> {
-    let m = Matcher::new(obs_src);
-    let mut kinds: Vec<(String, usize)> = Vec::new();
+/// Token spans `(open, close)` of the body of every `fn kind` in `m`.
+fn kind_bodies(m: &Matcher) -> Vec<(usize, usize)> {
+    let mut bodies = Vec::new();
     for si in 0..m.len() {
         if m.text(si) != "fn" || si + 1 >= m.len() || m.text(si + 1) != "kind" {
             continue;
@@ -770,9 +770,19 @@ fn event_kinds(obs_src: &str) -> Vec<(String, usize)> {
             }
         }
         let Some(open) = open else { continue };
-        let Some(close) = m.matching_close(open) else {
-            continue;
-        };
+        if let Some(close) = m.matching_close(open) {
+            bodies.push((open, close));
+        }
+    }
+    bodies
+}
+
+/// Event kinds = string literals inside `fn kind(...) -> ... { ... }`
+/// of the observability vocabulary source, with their source lines.
+fn event_kinds(obs_src: &str) -> Vec<(String, usize)> {
+    let m = Matcher::new(obs_src);
+    let mut kinds: Vec<(String, usize)> = Vec::new();
+    for (open, close) in kind_bodies(&m) {
         for k in open..close {
             if m.tok(k).kind == TokKind::Str {
                 let text = m.text(k).trim_matches('"').to_string();
@@ -785,8 +795,7 @@ fn event_kinds(obs_src: &str) -> Vec<(String, usize)> {
 }
 
 /// The `properties.event.enum` vocabulary of a parsed event schema.
-/// Shared with the R9 drift checks in [`crate::structural`].
-pub(crate) fn schema_event_enum(schema: &fifoms_obs::Json) -> Vec<String> {
+fn schema_event_enum(schema: &fifoms_obs::Json) -> Vec<String> {
     schema
         .get("properties")
         .and_then(|p| p.get("event"))
@@ -799,6 +808,187 @@ pub(crate) fn schema_event_enum(schema: &fifoms_obs::Json) -> Vec<String> {
                 .collect()
         })
         .unwrap_or_default()
+}
+
+// ---------------------------------------------------------------- R9 --
+
+/// The `ObsEvent` variant → kind-string map, from the `fn kind` match
+/// arms of the vocabulary source (`ObsEvent::WindowMeta { .. } =>
+/// "window_meta"`).
+fn variant_kind_map(obs_src: &str) -> Vec<(String, String)> {
+    let m = Matcher::new(obs_src);
+    let mut map = Vec::new();
+    for (open, close) in kind_bodies(&m) {
+        // Arms: ObsEvent :: Variant { .. } = > "kind".
+        let mut k = open + 1;
+        while k + 3 < close {
+            if m.text(k) == "ObsEvent" && m.text(k + 1) == ":" && m.text(k + 2) == ":" {
+                let variant = m.text(k + 3).to_string();
+                let mut j = k + 4;
+                if j < close && m.text(j) == "{" {
+                    match m.matching_close(j) {
+                        Some(c) => j = c + 1,
+                        None => break,
+                    }
+                }
+                // Skip the `=` `>` arrow, then expect the kind literal.
+                while j < close && matches!(m.text(j), "=" | ">") {
+                    j += 1;
+                }
+                if j < close && m.tok(j).kind == TokKind::Str {
+                    map.push((variant, m.text(j).trim_matches('"').to_string()));
+                }
+                k = j + 1;
+                continue;
+            }
+            k += 1;
+        }
+    }
+    map
+}
+
+/// `ObsEvent` variants *constructed* (not pattern-matched) in non-test
+/// code of `src`, with their lines. A variant use followed by `=` after
+/// its brace group is a pattern (`=> arm` or `if let ... =`); anything
+/// else is a construction.
+fn constructed_variants(src: &str) -> Vec<(String, usize)> {
+    let m = Matcher::new(src);
+    let mut out = Vec::new();
+    for si in 0..m.len().saturating_sub(3) {
+        if m.text(si) != "ObsEvent" || m.text(si + 1) != ":" || m.text(si + 2) != ":" {
+            continue;
+        }
+        if m.in_test_code(m.tok(si).start) {
+            continue;
+        }
+        let variant = m.text(si + 3);
+        if m.tok(si + 3).kind != TokKind::Ident {
+            continue;
+        }
+        let mut j = si + 4;
+        if j < m.len() && m.text(j) == "{" {
+            match m.matching_close(j) {
+                Some(c) => j = c + 1,
+                None => continue,
+            }
+        }
+        if j < m.len() && m.text(j) == "=" {
+            continue; // match arm or `if let` binding: a pattern
+        }
+        let (line, _) = m.line_col(si);
+        out.push((variant.to_string(), line));
+    }
+    out
+}
+
+/// The `properties.schema.enum` id of a schema document, if declared.
+fn schema_id(schema: &Json) -> Option<String> {
+    schema
+        .get("properties")
+        .and_then(|p| p.get("schema"))
+        .and_then(|s| s.get("enum"))
+        .and_then(Json::as_arr)
+        .and_then(|vals| vals.first())
+        .and_then(Json::as_str)
+        .map(str::to_string)
+}
+
+/// R9: bidirectional drift check between the telemetry emitter and the
+/// timeseries schema, plus schema-id liveness for every derived schema.
+///
+/// * `obs_src` — the `ObsEvent` vocabulary source (variant → kind map);
+/// * `telemetry` — `(rel, src)` of the telemetry layer whose
+///   constructed events make up the timeseries stream;
+/// * `timeseries` — `(rel, parsed schema)` of the stream's schema;
+/// * `derived` — `(rel, parsed schema)` of every derived schema whose
+///   `schema` id constant must be emitted somewhere in `emitter_srcs`.
+pub fn r9_schema_drift(
+    obs_src: &str,
+    telemetry: (&str, &str),
+    timeseries: (&str, &Json),
+    derived: &[(&str, &Json)],
+    emitter_srcs: &[(String, String)],
+) -> Vec<Finding> {
+    let mut out = Vec::new();
+    let kind_of = variant_kind_map(obs_src);
+    let (tele_rel, tele_src) = telemetry;
+    let (ts_rel, ts_schema) = timeseries;
+    let enum_kinds = schema_event_enum(ts_schema);
+    if enum_kinds.is_empty() {
+        out.push(Finding {
+            rule: "R9",
+            path: ts_rel.to_string(),
+            line: 1,
+            col: 1,
+            key: "missing-event-enum".into(),
+            message: format!("{ts_rel} declares no properties.event.enum vocabulary"),
+        });
+    } else {
+        let emitted: Vec<(String, usize)> = constructed_variants(tele_src)
+            .into_iter()
+            .filter_map(|(variant, line)| {
+                kind_of
+                    .iter()
+                    .find(|(v, _)| *v == variant)
+                    .map(|(_, kind)| (kind.clone(), line))
+            })
+            .collect();
+        for (kind, line) in &emitted {
+            if !enum_kinds.iter().any(|k| k == kind) {
+                out.push(Finding {
+                    rule: "R9",
+                    path: tele_rel.to_string(),
+                    line: *line,
+                    col: 1,
+                    key: format!("emit-only {kind}"),
+                    message: format!(
+                        "telemetry emits \"{kind}\" into the timeseries stream but {ts_rel} \
+                         does not admit it; stream consumers reject valid records"
+                    ),
+                });
+            }
+        }
+        for kind in &enum_kinds {
+            if !emitted.iter().any(|(k, _)| k == kind) {
+                out.push(Finding {
+                    rule: "R9",
+                    path: ts_rel.to_string(),
+                    line: 1,
+                    col: 1,
+                    key: format!("schema-only {kind}"),
+                    message: format!(
+                        "{ts_rel} admits \"{kind}\" but the telemetry layer never constructs \
+                         it; dead vocabulary"
+                    ),
+                });
+            }
+        }
+    }
+    for (rel, schema) in derived {
+        let Some(id) = schema_id(schema) else { continue };
+        let live = emitter_srcs.iter().any(|(_, src)| {
+            let m = Matcher::new(src);
+            (0..m.len()).any(|si| {
+                m.tok(si).kind == TokKind::Str
+                    && m.text(si).trim_matches('"') == id
+                    && !m.in_test_code(m.tok(si).start)
+            })
+        });
+        if !live {
+            out.push(Finding {
+                rule: "R9",
+                path: rel.to_string(),
+                line: 1,
+                col: 1,
+                key: format!("dead-schema-id {id}"),
+                message: format!(
+                    "{rel} declares schema id \"{id}\" but no emitting source produces that \
+                     literal; the schema validates nothing"
+                ),
+            });
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------- R5 --
@@ -1140,5 +1330,74 @@ mod tests {
         // Non-fingerprint functions are not constrained.
         let other = "fn render(load: f64) -> String { format!(\"{load}\") }";
         assert!(findings("crates/sim/src/report.rs", other).is_empty());
+    }
+
+    const OBS: &str = "impl ObsEvent { pub fn kind(&self) -> &'static str { match self { ObsEvent::WindowMeta { .. } => \"window_meta\", ObsEvent::WindowSummary { .. } => \"window_summary\", ObsEvent::RunEnd { .. } => \"run_end\" } } }";
+
+    #[test]
+    fn r9_bidirectional_timeseries_check() {
+        let tele = "fn meta(&self) -> ObsEvent { ObsEvent::WindowMeta { ports: self.ports } }\nfn fold(&mut self, ev: &ObsEvent) { match ev { ObsEvent::RunEnd { .. } => {} _ => {} } }";
+        let schema =
+            Json::parse("{\"properties\":{\"event\":{\"enum\":[\"window_meta\",\"window_summary\"]}}}")
+                .expect("parses");
+        let f = r9_schema_drift(
+            OBS,
+            ("crates/obs/src/telemetry.rs", tele),
+            ("schemas/timeseries.schema.json", &schema),
+            &[],
+            &[],
+        );
+        // window_summary is admitted but never constructed; the matched
+        // (not constructed) RunEnd must NOT count as emitted.
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].key, "schema-only window_summary");
+
+        let tele_full = "fn meta(&self) -> ObsEvent { ObsEvent::WindowMeta { ports: 1 } }\nfn close(&self) -> ObsEvent { ObsEvent::WindowSummary { slots: 1 } }";
+        let f = r9_schema_drift(
+            OBS,
+            ("crates/obs/src/telemetry.rs", tele_full),
+            ("schemas/timeseries.schema.json", &schema),
+            &[],
+            &[],
+        );
+        assert!(f.is_empty(), "{f:?}");
+
+        let tele_extra = "fn meta(&self) -> ObsEvent { ObsEvent::WindowMeta { ports: 1 } }\nfn close(&self) -> ObsEvent { ObsEvent::WindowSummary { slots: 1 } }\nfn leak(&self) -> ObsEvent { ObsEvent::RunEnd { slots_run: 1 } }";
+        let f = r9_schema_drift(
+            OBS,
+            ("crates/obs/src/telemetry.rs", tele_extra),
+            ("schemas/timeseries.schema.json", &schema),
+            &[],
+            &[],
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].key, "emit-only run_end");
+    }
+
+    #[test]
+    fn r9_dead_schema_id_is_flagged() {
+        let snap = Json::parse(
+            "{\"properties\":{\"schema\":{\"enum\":[\"fifoms-telemetry-snapshot-v1\"]}}}",
+        )
+        .expect("parses");
+        let ts = Json::parse("{\"properties\":{\"event\":{\"enum\":[]}}}").expect("parses");
+        let live = vec![(
+            "crates/obs/src/t.rs".to_string(),
+            "fn publish(&self) { doc.set(\"schema\", \"fifoms-telemetry-snapshot-v1\"); }"
+                .to_string(),
+        )];
+        let f = r9_schema_drift(
+            OBS,
+            ("t.rs", ""),
+            ("ts.json", &ts),
+            &[("schemas/snapshot.schema.json", &snap)],
+            &live,
+        );
+        assert!(
+            !f.iter().any(|x| x.key.starts_with("dead-schema-id")),
+            "{f:?}"
+        );
+        let f = r9_schema_drift(OBS, ("t.rs", ""), ("ts.json", &ts), &[("schemas/snapshot.schema.json", &snap)], &[]);
+        assert!(f.iter().any(|x| x.key == "dead-schema-id fifoms-telemetry-snapshot-v1"));
     }
 }

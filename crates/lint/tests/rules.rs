@@ -5,14 +5,10 @@
 //!
 //! Fixtures are checked through `check_file` with a *synthetic* relative
 //! path: the path picks the crate domain, so the same source can be
-//! asserted flagged inside a rule's domain and ignored outside it. The
-//! structural rule R8 runs its fixtures through the program model
-//! instead.
+//! asserted flagged inside a rule's domain and ignored outside it.
 
 use fifoms_lint::matcher::Matcher;
-use fifoms_lint::rules::{check_file, check_vocabulary, Finding};
-use fifoms_lint::structural::{r8_checkpoint_coverage, r9_schema_drift};
-use fifoms_lint::Program;
+use fifoms_lint::rules::{check_file, check_vocabulary, r9_schema_drift, Finding};
 use fifoms_obs::Json;
 
 fn run(rel: &str, src: &str) -> Vec<Finding> {
@@ -294,41 +290,6 @@ fn r9_schema_ids_must_be_emitted_somewhere() {
     assert!(f
         .iter()
         .any(|x| x.key == "dead-schema-id fifoms-timeseries-v1"));
-}
-
-// ---------------------------------------------------------------- R8 --
-
-fn program(files: &[(&str, &str)]) -> Program {
-    Program::build(
-        files
-            .iter()
-            .map(|(rel, src)| (rel.to_string(), src.to_string()))
-            .collect(),
-    )
-}
-
-#[test]
-fn r8_flags_unsaved_and_unrestored_fields() {
-    let p = program(&[(
-        "crates/core/src/counters.rs",
-        include_str!("fixtures/r8_bad.rs"),
-    )]);
-    let f = r8_checkpoint_coverage(&p);
-    // high_water missing both ways, dropped missing on restore only.
-    assert_eq!(count(&f, "R8"), 3, "{f:#?}");
-    assert!(f.iter().any(|x| x.key == "unsaved high_water"));
-    assert!(f.iter().any(|x| x.key == "unrestored high_water"));
-    assert!(f.iter().any(|x| x.key == "unrestored dropped"));
-}
-
-#[test]
-fn r8_accepts_full_coverage_generics_and_documented_exclusions() {
-    let p = program(&[(
-        "crates/core/src/counters.rs",
-        include_str!("fixtures/r8_good.rs"),
-    )]);
-    let f = r8_checkpoint_coverage(&p);
-    assert_eq!(f, Vec::new(), "good fixture must be fully clean");
 }
 
 // --------------------------------------------------------------- R10 --

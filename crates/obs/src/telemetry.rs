@@ -464,22 +464,37 @@ impl Checkpoint for Telemetry {
     }
 
     fn write_state(&self, w: &mut StateWriter) {
-        // `ports`, `stride` and `ring_cap` are configuration (rebuilt by
-        // the caller); everything accumulated is state.
-        put_window(w, &self.cur);
-        w.put_usize(self.ring.len());
-        for ws in &self.ring {
+        let Telemetry {
+            // Configuration, rebuilt by the caller.
+            ports: _,
+            stride: _,
+            ring_cap: _,
+            cur,
+            ring,
+            totals,
+            inputs,
+            slot_ns,
+        } = self;
+        put_window(w, cur);
+        w.put_usize(ring.len());
+        for ws in ring {
             put_window(w, ws);
         }
-        put_window(w, &self.totals);
-        w.put_usize(self.inputs.len());
-        for i in &self.inputs {
-            w.put_u64(i.kills);
-            w.put_u64(i.recoveries);
-            w.put_u64(i.admission_drops);
-            w.put_u32(i.quarantined);
+        put_window(w, totals);
+        w.put_usize(inputs.len());
+        for i in inputs {
+            let InputStats {
+                kills,
+                recoveries,
+                admission_drops,
+                quarantined,
+            } = *i;
+            w.put_u64(kills);
+            w.put_u64(recoveries);
+            w.put_u64(admission_drops);
+            w.put_u32(quarantined);
         }
-        let (buckets, count, sum, max) = self.slot_ns.raw();
+        let (buckets, count, sum, max) = slot_ns.raw();
         for b in buckets {
             w.put_u64(*b);
         }
@@ -489,39 +504,51 @@ impl Checkpoint for Telemetry {
     }
 
     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.cur = get_window(r)?;
+        let Telemetry {
+            ports: _,
+            stride: _,
+            ring_cap,
+            cur,
+            ring,
+            totals,
+            inputs,
+            slot_ns,
+        } = self;
+        *cur = get_window(r)?;
         let ring_len = r.get_usize()?;
-        if ring_len > self.ring_cap {
+        if ring_len > *ring_cap {
             return Err(StateError::Malformed {
-                what: format!("ring holds {ring_len} windows, cap is {}", self.ring_cap),
+                what: format!("ring holds {ring_len} windows, cap is {ring_cap}"),
             });
         }
-        self.ring.clear();
+        ring.clear();
         for _ in 0..ring_len {
-            self.ring.push_back(get_window(r)?);
+            ring.push_back(get_window(r)?);
         }
-        self.totals = get_window(r)?;
-        let inputs = r.get_usize()?;
-        if inputs != self.inputs.len() {
+        *totals = get_window(r)?;
+        let count = r.get_usize()?;
+        if count != inputs.len() {
             return Err(StateError::Malformed {
                 what: format!(
-                    "telemetry has {} inputs, snapshot has {inputs}",
-                    self.inputs.len()
+                    "telemetry has {} inputs, snapshot has {count}",
+                    inputs.len()
                 ),
             });
         }
-        for i in &mut self.inputs {
-            i.kills = r.get_u64()?;
-            i.recoveries = r.get_u64()?;
-            i.admission_drops = r.get_u64()?;
-            i.quarantined = r.get_u32()?;
+        for i in inputs.iter_mut() {
+            *i = InputStats {
+                kills: r.get_u64()?,
+                recoveries: r.get_u64()?,
+                admission_drops: r.get_u64()?,
+                quarantined: r.get_u32()?,
+            };
         }
         let mut buckets = [0u64; 65];
         for b in &mut buckets {
             *b = r.get_u64()?;
         }
         let (count, sum, max) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
-        self.slot_ns = Log2Histogram::from_raw(buckets, count, sum, max);
+        *slot_ns = Log2Histogram::from_raw(buckets, count, sum, max);
         Ok(())
     }
 }

@@ -364,18 +364,20 @@ fn drive<S: Switch>(
     let mut traffic = TrafficKind::bernoulli_at_load(sc.load, CHAOS_B, sc.n)
         .build(sc.n, sc.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
-    // Telemetry rides along exactly like the engine's: one window
+    // Telemetry rides along through the engine's channel: one window
     // accumulator, a pre-sized path buffer so window closes never
     // allocate, and the meta record announcing the stream's shape.
     let mut tele = telemetry.map(|(spec, _)| spec.new_telemetry(sc.n));
-    let tele_active = tele.is_some();
+    let mut channel = match (telemetry, tele.as_mut()) {
+        (Some((spec, scope)), Some(t)) => Some(spec.channel(t, scope)),
+        _ => None,
+    };
+    let tele_active = channel.is_some();
     let mut quarantine_buf: Vec<(PortId, PortId)> = Vec::new();
-    if tele_active {
+    if let Some(tc) = channel.as_ref() {
         quarantine_buf.reserve(sc.n * sc.n);
-    }
-    if let (Some((spec, scope)), Some(t)) = (telemetry, tele.as_ref()) {
-        if let Some(series) = spec.series.as_deref() {
-            series.emit(scope, &t.meta_event());
+        if let Some((sink, scope)) = tc.series {
+            sink.emit(scope, &tc.telemetry.meta_event());
         }
     }
 
@@ -451,8 +453,8 @@ fn drive<S: Switch>(
 
         checked.drain_events(&mut events);
         for e in events.drain(..) {
-            if let Some(tele) = tele.as_mut() {
-                tele.observe_event(&e);
+            if let Some(tc) = channel.as_mut() {
+                tc.telemetry.observe_event(&e);
             }
             match e {
                 ObsEvent::CopyKilled { requeued, .. } => recorder.record_kill(requeued),
@@ -494,33 +496,16 @@ fn drive<S: Switch>(
             }
         }
 
-        // Fold this slot into the live window; a full stride closes it
-        // and publishes the scope's snapshot, mirroring the engine.
-        if let Some(tele) = tele.as_mut() {
-            let delivered_now = outcome.departures.len() as u64;
-            let completed_now = outcome.departures.iter().filter(|d| d.last_copy).count() as u64;
-            let wall_ns = tele_timer.map_or(0, |tm| tm.elapsed_ns());
-            tele.record_slot(
+        if let Some(tc) = channel.as_mut() {
+            tc.end_slot(
+                &checked,
+                now,
+                &outcome,
                 next_packet - admitted_before,
-                delivered_now,
-                completed_now,
                 sched_ns,
-                wall_ns,
+                tele_timer.map_or(0, |tm| tm.elapsed_ns()),
+                &mut quarantine_buf,
             );
-            if tele.window_full() {
-                quarantine_buf.clear();
-                checked.quarantined_paths(now, &mut quarantine_buf);
-                tele.set_path_state(&quarantine_buf);
-                let summary = tele.close_window(checked.backlog().copies as u64);
-                if let Some((spec, scope)) = telemetry {
-                    if let Some(series) = spec.series.as_deref() {
-                        series.emit(scope, &summary);
-                    }
-                    if let Some(bus) = spec.bus.as_deref() {
-                        bus.publish(scope, tele, false);
-                    }
-                }
-            }
         }
 
         if checked.violation().is_some() {
@@ -529,23 +514,8 @@ fn drive<S: Switch>(
         t += 1;
     }
 
-    // Telemetry teardown: close the partial final window, flush the
-    // series stream, and publish the completion-marked snapshot.
-    if let (Some((spec, scope)), Some(tele)) = (telemetry, tele.as_mut()) {
-        quarantine_buf.clear();
-        checked.quarantined_paths(Slot(slots_run.saturating_sub(1)), &mut quarantine_buf);
-        tele.set_path_state(&quarantine_buf);
-        if let Some(summary) = tele.finish(checked.backlog().copies as u64) {
-            if let Some(series) = spec.series.as_deref() {
-                series.emit(scope, &summary);
-            }
-        }
-        if let Some(series) = spec.series.as_deref() {
-            series.flush();
-        }
-        if let Some(bus) = spec.bus.as_deref() {
-            bus.publish(scope, tele, true);
-        }
+    if let Some(tc) = channel.as_mut() {
+        tc.end_run(&checked, slots_run, &mut quarantine_buf);
     }
 
     let backlog = checked.backlog();

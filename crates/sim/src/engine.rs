@@ -9,7 +9,8 @@ use fifoms_stats::{
 };
 use fifoms_traffic::TrafficModel;
 use fifoms_types::{
-    ObsEvent, Packet, PacketId, PortId, PortSet, SimError, Slot, SpanSample, SpanTimer,
+    ObsEvent, Packet, PacketId, PortId, PortSet, SimError, Slot, SlotOutcome, SpanSample,
+    SpanTimer,
 };
 
 use crate::overload::OverloadControls;
@@ -177,6 +178,72 @@ pub struct TelemetryChannel<'a> {
     /// Snapshot bus (plus this run's scope) publishing the whole-campaign
     /// live view on every window close.
     pub bus: Option<(&'a SnapshotBus, &'a str)>,
+}
+
+impl TelemetryChannel<'_> {
+    /// Fold one slot into the current window. On a full stride, close
+    /// the window, emit its summary to the series sink and publish a
+    /// snapshot. All counter updates are integer field writes; `paths`
+    /// is the reused quarantine-poll buffer, so a window close allocates
+    /// nothing once it holds `N×N` entries, and the only heap work is
+    /// the opted-in snapshot publication.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn end_slot(
+        &mut self,
+        switch: &dyn Switch,
+        now: Slot,
+        outcome: &SlotOutcome,
+        admitted_packets: u64,
+        sched_ns: u64,
+        wall_ns: u64,
+        paths: &mut Vec<(PortId, PortId)>,
+    ) {
+        self.telemetry.record_slot(
+            admitted_packets,
+            outcome.departures.len() as u64,
+            outcome.completed_packets() as u64,
+            sched_ns,
+            wall_ns,
+        );
+        if self.telemetry.window_full() {
+            paths.clear();
+            switch.quarantined_paths(now, paths);
+            self.telemetry.set_path_state(paths);
+            let summary = self.telemetry.close_window(switch.backlog().copies as u64);
+            if let Some((sink, scope)) = self.series {
+                sink.emit(scope, &summary);
+            }
+            if let Some((bus, scope)) = self.bus {
+                bus.publish(scope, self.telemetry, false);
+            }
+        }
+    }
+
+    /// After a run of `slots_run` slots: close the partial final window
+    /// (if any), flush the series stream, and publish the
+    /// completion-marked snapshot so `top` can tell a finished scope from
+    /// a stalled one.
+    pub(crate) fn end_run(
+        &mut self,
+        switch: &dyn Switch,
+        slots_run: u64,
+        paths: &mut Vec<(PortId, PortId)>,
+    ) {
+        paths.clear();
+        switch.quarantined_paths(Slot(slots_run.saturating_sub(1)), paths);
+        self.telemetry.set_path_state(paths);
+        if let Some(summary) = self.telemetry.finish(switch.backlog().copies as u64) {
+            if let Some((sink, scope)) = self.series {
+                sink.emit(scope, &summary);
+            }
+        }
+        if let Some((sink, _)) = self.series {
+            sink.flush();
+        }
+        if let Some((bus, scope)) = self.bus {
+            bus.publish(scope, self.telemetry, true);
+        }
+    }
 }
 
 /// Shareable telemetry configuration for campaign runners (sweep, chaos,
@@ -585,33 +652,16 @@ fn simulate_inner(
         if let (Some(timer), Some((p, _))) = (slot_timer, obs.profiler.as_mut()) {
             p.record_slot_ns(timer.elapsed_ns());
         }
-        // Live telemetry: fold this slot into the current window and
-        // close the window on a full stride. All counter updates are
-        // integer field writes; the only heap work is the opted-in
-        // snapshot publication on a window close.
         if let Some(tc) = obs.telemetry.as_mut() {
-            let delivered_now = outcome.departures.len() as u64;
-            let completed_now = outcome.departures.iter().filter(|d| d.last_copy).count() as u64;
-            let wall_ns = tele_timer.map_or(0, |tm| tm.elapsed_ns());
-            tc.telemetry.record_slot(
+            tc.end_slot(
+                switch,
+                now,
+                &outcome,
                 next_packet - admitted_before,
-                delivered_now,
-                completed_now,
                 sched_ns,
-                wall_ns,
+                tele_timer.map_or(0, |tm| tm.elapsed_ns()),
+                &mut quarantine_buf,
             );
-            if tc.telemetry.window_full() {
-                quarantine_buf.clear();
-                switch.quarantined_paths(now, &mut quarantine_buf);
-                tc.telemetry.set_path_state(&quarantine_buf);
-                let summary = tc.telemetry.close_window(switch.backlog().copies as u64);
-                if let Some((sink, scope)) = tc.series {
-                    sink.emit(scope, &summary);
-                }
-                if let Some((bus, scope)) = tc.bus {
-                    bus.publish(scope, tc.telemetry, false);
-                }
-            }
         }
         // Hand the outcome's heap buffers back for the next slot. Runs on
         // every path (observed or not): recycling is memory reuse only,
@@ -677,23 +727,7 @@ fn simulate_inner(
         sink.flush();
     }
     if let Some(tc) = obs.telemetry.as_mut() {
-        // Close the partial final window (if any), flush the series
-        // stream, and publish the completion-marked snapshot so `top`
-        // can tell a finished scope from a stalled one.
-        quarantine_buf.clear();
-        switch.quarantined_paths(Slot(slots_run.saturating_sub(1)), &mut quarantine_buf);
-        tc.telemetry.set_path_state(&quarantine_buf);
-        if let Some(summary) = tc.telemetry.finish(switch.backlog().copies as u64) {
-            if let Some((sink, scope)) = tc.series {
-                sink.emit(scope, &summary);
-            }
-        }
-        if let Some((sink, _)) = tc.series {
-            sink.flush();
-        }
-        if let Some((bus, scope)) = tc.bus {
-            bus.publish(scope, tc.telemetry, true);
-        }
+        tc.end_run(switch, slots_run, &mut quarantine_buf);
     }
 
     let measured_slots = slots_run.saturating_sub(cfg.warmup).max(1);

@@ -552,10 +552,7 @@ impl Sweep {
         telemetry: Option<TelemetrySpec>,
     ) -> CellSpec {
         let (load, tk) = self.points[pi];
-        // Workload seed depends only on the point → identical arrivals for
-        // every scheduler; switch seed also varies by scheduler.
-        let traffic_seed = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (pi as u64);
-        let switch_seed = traffic_seed ^ ((si as u64 + 1) << 32);
+        let (traffic_seed, switch_seed) = self.cell_seeds(si, pi);
         let scope = format!("{}@{load}", self.switches[si].label());
         CellSpec {
             n: self.n,
@@ -574,6 +571,15 @@ impl Sweep {
         }
     }
 
+    /// `(traffic_seed, switch_seed)` of the cell at scheduler `si`, point
+    /// `pi`. The workload seed depends only on the point, so every
+    /// scheduler sees identical arrivals; the switch seed also varies by
+    /// scheduler.
+    fn cell_seeds(&self, si: usize, pi: usize) -> (u64, u64) {
+        let traffic_seed = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (pi as u64);
+        (traffic_seed, traffic_seed ^ ((si as u64 + 1) << 32))
+    }
+
     fn run_cell(
         &self,
         sk: SwitchKind,
@@ -582,10 +588,7 @@ impl Sweep {
         tk: TrafficKind,
         point_idx: usize,
     ) -> SweepRow {
-        // Workload seed depends only on the point → identical arrivals for
-        // every scheduler; switch seed also varies by scheduler.
-        let traffic_seed = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (point_idx as u64);
-        let switch_seed = traffic_seed ^ ((switch_idx as u64 + 1) << 32);
+        let (traffic_seed, switch_seed) = self.cell_seeds(switch_idx, point_idx);
         let mut switch = sk.build(self.n, switch_seed);
         let mut traffic = tk.build(self.n, traffic_seed);
         let result = simulate(switch.as_mut(), traffic.as_mut(), &self.run);

@@ -121,16 +121,26 @@ impl Checkpoint for BernoulliMulticast {
     }
 
     fn write_state(&self, w: &mut StateWriter) {
-        // `n`, `p`, `b` are configuration; the rng cursor is the only
-        // mutable state.
-        for word in self.rng.state() {
+        // `n`, `p` and `b` are configuration, rebuilt by the caller.
+        let BernoulliMulticast {
+            n: _,
+            p: _,
+            b: _,
+            rng,
+        } = self;
+        for word in rng.state() {
             w.put_u64(word);
         }
     }
 
     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let state = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
-        self.rng = SmallRng::from_state(state);
+        let BernoulliMulticast {
+            n: _,
+            p: _,
+            b: _,
+            rng,
+        } = self;
+        *rng = SmallRng::from_state([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?]);
         Ok(())
     }
 }

@@ -512,6 +512,55 @@ pub fn unframe_state<'a>(
 /// words, ledgers, latches, free-list chains — in a fixed field order.
 /// Containers with nondeterministic iteration (`HashMap`) must be written
 /// sorted by key so two snapshots of equal states are byte-equal.
+///
+/// Both `write_state` and `read_state` open with an exhaustive
+/// `let Self { .. } = self;` destructure, without `..`. Each field is
+/// bound and used, or bound to `_` beside a comment that says why it is
+/// not state: configuration the caller rebuilds, scratch that is empty
+/// between slots, or a wrapped switch saved in its own frame. A field
+/// added later does not compile until both directions handle it, and
+/// `tests/checkpoint_layout.rs` pins the bytes every codec writes.
+///
+/// ```
+/// use fifoms_types::{Checkpoint, StateError, StateReader, StateWriter};
+///
+/// struct Counter { hits: u64, cap: u64 }
+///
+/// impl Checkpoint for Counter {
+///     fn state_kind(&self) -> &'static str { "counter" }
+///     fn write_state(&self, w: &mut StateWriter) {
+///         // `cap` is configuration, rebuilt by the caller.
+///         let Counter { hits, cap: _ } = self;
+///         w.put_u64(*hits);
+///     }
+///     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+///         let Counter { hits, cap: _ } = self;
+///         *hits = r.get_u64()?;
+///         Ok(())
+///     }
+/// }
+/// ```
+///
+/// The same codec with `cap` left out of the destructure does not compile:
+///
+/// ```compile_fail,E0027
+/// use fifoms_types::{Checkpoint, StateError, StateReader, StateWriter};
+///
+/// struct Counter { hits: u64, cap: u64 }
+///
+/// impl Checkpoint for Counter {
+///     fn state_kind(&self) -> &'static str { "counter" }
+///     fn write_state(&self, w: &mut StateWriter) {
+///         let Counter { hits } = self;
+///         w.put_u64(*hits);
+///     }
+///     fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+///         let Counter { hits, cap: _ } = self;
+///         *hits = r.get_u64()?;
+///         Ok(())
+///     }
+/// }
+/// ```
 pub trait Checkpoint {
     /// Stable identifier of the component's state layout (e.g.
     /// `"fifoms-core"`). Restoring a blob of a different kind fails with

@@ -180,3 +180,35 @@ fn full_telemetry_at_stride_one_is_bit_identical() {
         "exposition carries the scoped counter: {prom_text}"
     );
 }
+
+/// Chaos scenarios drive their own slot loop but fold slots into
+/// telemetry through the engine's window path: attaching it leaves the
+/// outcome bit-identical, and the windows' delivered counts, drain phase
+/// included, sum to the outcome's.
+#[test]
+fn chaos_windows_sum_to_the_outcome_and_leave_it_unchanged() {
+    use fifoms::sim::{run_scenario, run_scenario_observed, ChaosScenario};
+
+    let sc = ChaosScenario::parse("slots=600,crosspoint_faults=2,crosspoint_at=50,quarantine=40")
+        .expect("scenario parses");
+    let rec = Arc::new(RecordingSink::new());
+    let spec = TelemetrySpec {
+        series: Some(rec.clone() as Arc<dyn EventSink>),
+        ..TelemetrySpec::new(64)
+    };
+    let observed = run_scenario_observed(&sc, Some(&spec), "chaos");
+    assert_eq!(format!("{observed:?}"), format!("{:?}", run_scenario(&sc)));
+    let windows: Vec<u64> = rec
+        .events()
+        .iter()
+        .filter_map(|(_, e)| match e {
+            ObsEvent::WindowSummary {
+                delivered_copies, ..
+            } => Some(*delivered_copies),
+            _ => None,
+        })
+        .collect();
+    assert!(windows.len() > 1, "several windows closed");
+    assert!(observed.delivered_copies > 0);
+    assert_eq!(windows.iter().sum::<u64>(), observed.delivered_copies);
+}
